@@ -27,7 +27,7 @@ from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix, gram_pairing
 from .moves import TwistWord, apply_twist_word
 
-ClassSpec = Union[KClass, tuple[TwistWord, KClass]]
+ClassSpec = Union[KClass, tuple[TwistWord, int]]
 
 
 @dataclass(frozen=True)
@@ -74,21 +74,25 @@ def induced_total_space(
     fibre: MilnorData | LefschetzAlgebra,
     n: int,
     class_specs: Sequence[ClassSpec],
+    generators: Sequence[KClass] | None = None,
 ) -> LefschetzAlgebra:
     """
     Run one step of the dimensional induction: resolve each class spec to
-    a K-theory class of the fibre (twist words act with the fibre's parity
-    n - 1), pair the resolved classes, and validate the result as the
-    intersection matrix of a parity-n total space. An inconsistent result
-    (for instance a wrongly ordered collection) surfaces as a
+    a K-theory class of the fibre, pair the resolved classes, and validate
+    the result as the intersection matrix of a parity-n total space. A
+    spec is a class or (twist word, seed index); the word acts with the
+    fibre's parity n - 1 on that generator. The generators default to the
+    Milnor fibre's spheres or the algebra's thimble basis. An inconsistent
+    result (for instance a wrongly ordered collection) surfaces as a
     ConsistencyError from the validation.
     """
     if isinstance(fibre, MilnorData):
         gram = fibre.mukai
-        generators = list(fibre.sphere_classes)
+        default = fibre.sphere_classes
     else:
         gram = fibre.seifert
-        generators = [KClass.basis_vector(fibre.size, k) for k in range(fibre.size)]
+        default = [KClass.basis_vector(fibre.size, k) for k in range(fibre.size)]
+    generators = list(default if generators is None else generators)
 
     resolved: list[KClass] = []
     for spec in class_specs:
@@ -96,7 +100,14 @@ def induced_total_space(
             resolved.append(spec)
         else:
             word, seed = spec
-            resolved.append(apply_twist_word(n - 1, gram, generators, word, seed))
+            if not 0 <= seed < len(generators):
+                raise IndexError(
+                    f"seed {seed + 1} is not among the {len(generators)} generators "
+                    "(numbered from 1)"
+                )
+            resolved.append(
+                apply_twist_word(n - 1, gram, generators, word, generators[seed])
+            )
 
     pairings = LaurentMatrix.from_rows(
         [[gram_pairing(gram, ci, cj) for cj in resolved] for ci in resolved]

@@ -27,12 +27,7 @@ from .moves import (
     rescale_object,
     shift_object,
 )
-from .obstructions import (
-    betti_lower_bound,
-    kernel_classes,
-    self_pairing,
-    sphere_test,
-)
+from .obstructions import betti_lower_bound, sphere_test
 from .serialize import (
     FileFormatError,
     class_specs_from_obj,
@@ -276,15 +271,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
     alg, _ = _load_fibration(args.file, args.n)
-    kernel = kernel_classes(alg)
     result = sphere_test(alg)
+    kernel = result.kernel
     generators = [
         {
             "class": kclass_to_obj(h),
-            "self_pairing": poly_to_obj(self_pairing(alg, h)),
-            "betti_lower_bound": betti_lower_bound(self_pairing(alg, h)),
+            "self_pairing": poly_to_obj(p),
+            "betti_lower_bound": betti_lower_bound(p),
         }
-        for h in kernel
+        for h, p in zip(kernel, result.self_pairings)
     ]
     report: dict[str, Any] = {
         "kernel_rank": len(kernel),
@@ -301,8 +296,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     if result.reason is not None:
         lines.append(f"reason: {result.reason}")
     lines.append(f"kernel rank: {len(kernel)}")
-    for h in kernel:
-        p = self_pairing(alg, h)
+    for h, p in zip(kernel, result.self_pairings):
         lines.append(f"  generator {h}")
         lines.append(f"    self-pairing {p}")
         lines.append(f"    betti lower bound {betti_lower_bound(p)}")
@@ -393,30 +387,10 @@ def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
-    with open(args.fibre, encoding="utf-8") as handle:
-        fibre, _ = fibration_from_obj(json.load(handle))
+    fibre, _ = _load_fibration(args.fibre, None)
     with open(args.classes, encoding="utf-8") as handle:
-        generators, raw_specs = class_specs_from_obj(json.load(handle))
-    if generators is None:
-        generators = [KClass.basis_vector(fibre.size, i) for i in range(fibre.size)]
-    resolved: list[KClass] = []
-    for spec in raw_specs:
-        if isinstance(spec, KClass):
-            resolved.append(spec)
-        else:
-            word_text, seed = spec
-            if seed >= len(generators):
-                raise IndexError(f"seed {seed + 1} exceeds the generator count")
-            resolved.append(
-                apply_twist_word(
-                    args.n - 1,
-                    fibre.seifert,
-                    generators,
-                    TwistWord.parse(word_text),
-                    generators[seed],
-                )
-            )
-    alg = induced_total_space(fibre, args.n, resolved)
+        generators, specs = class_specs_from_obj(json.load(handle))
+    alg = induced_total_space(fibre, args.n, specs, generators)
     artifact = fibration_to_obj(alg)
     lines = _matrix_lines("induced intersection matrix", alg.intersection)
     return _emit(args, artifact, lines, artifact=artifact)

@@ -14,10 +14,13 @@ of its integer coefficients, and "primitive" means content 1.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 IntoPoly = Union[int, "LaurentPoly"]
+
+_NUMERAL = re.compile(r"-?[0-9]+")
 
 
 class ExactDivisionError(ArithmeticError):
@@ -72,9 +75,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         """Terms as (exponent, coefficient) pairs, by increasing exponent."""
         return iter(sorted(self._terms.items()))
-
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
 
     def __getitem__(self, exp: int) -> int:
         return self._terms.get(exp, 0)
@@ -264,12 +264,15 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:
+        """Inverse of to_pairs; rejects bool, float and loose numerals like " 1_0"."""
         terms: dict[int, int] = {}
         last = None
         for pair in pairs:
             exp, coeff = pair
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise ValueError(f"exponent {exp!r} is not an integer")
+            if not (type(coeff) is int or isinstance(coeff, str) and _NUMERAL.fullmatch(coeff)):
+                raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
             coeff = int(coeff)
             if coeff == 0:
                 raise ValueError(f"zero coefficient at exponent {exp}")
@@ -392,6 +395,3 @@ def _unit_normal(p: LaurentPoly) -> LaurentPoly:
 
 #: The generator q, so that expressions read like the formulas they encode.
 q = LaurentPoly({1: 1})
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()

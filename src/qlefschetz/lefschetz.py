@@ -114,19 +114,6 @@ class LefschetzAlgebra:
         n_q = self.seifert.unitriangular_inverse() @ self.seifert.star_transpose()
         return n_q.scale(LaurentPoly.monomial(self.parity_sign, 1))
 
-    def monodromy_pairing(self, i: int, j: int) -> LaurentPoly:
-        """
-        The pairing of the monodromy image of the i-th basis class against
-        the j-th, computed by the closed formula
-        (-1)^n q^-1 (S (S^-1)* S)_(i, j). Indices are 0-based.
-        """
-        m = self.size
-        if not (0 <= i < m and 0 <= j < m):
-            raise IndexError(f"indices ({i}, {j}) out of range for size {m}")
-        inv_star = self.seifert.unitriangular_inverse().star_transpose()
-        product = self.seifert @ inv_star @ self.seifert
-        return LaurentPoly.monomial(self.parity_sign, -1) * product[i, j]
-
     def specialize_classical(
         self,
     ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -149,7 +136,7 @@ class LefschetzAlgebra:
         entries are constants). Its determinant equals det(I - q N) for the
         classical monodromy N.
         """
-        seifert1, _, _ = self.specialize_classical()
+        seifert1 = self.seifert.eval_at_one()
         m = self.size
         sq = LaurentPoly.monomial(self.parity_sign, 1)
         return LaurentMatrix.from_rows(

@@ -126,10 +126,6 @@ class LaurentMatrix:
         return cls.from_rows([[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> LaurentMatrix:
-        return cls(rows, cols, tuple(LaurentPoly.zero() for _ in range(rows * cols)))
-
-    @classmethod
     def diagonal(cls, values: Sequence[EntryLike]) -> LaurentMatrix:
         m = len(values)
         return cls.from_rows(
@@ -221,9 +217,6 @@ class LaurentMatrix:
             self.rows,
             tuple(self[i, j].star() for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def star_entries(self) -> LaurentMatrix:
-        return LaurentMatrix(self.rows, self.cols, tuple(a.star() for a in self.entries))
 
     def eval_at_one(self) -> list[list[int]]:
         return [[self[i, j].eval_at_one() for j in range(self.cols)] for i in range(self.rows)]

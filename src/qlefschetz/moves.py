@@ -85,7 +85,7 @@ def hurwitz_move(alg: LefschetzAlgebra, k: int) -> tuple[LefschetzAlgebra, Laure
     becomes the old k-th cycle. Returns the new algebra and the transition
     matrix C with new Seifert = C* S C.
     """
-    c = _forward_transition(alg, k)
+    c = _transition(alg, k, inverse=False)
     return _conjugate(alg, c), c
 
 
@@ -98,16 +98,7 @@ def hurwitz_inverse_move(
     transition matrix is the inverse of the forward one computed in the
     algebra the forward move would have come from.
     """
-    m = _checked_position(alg, k)
-    beta = alg.seifert[k, k + 1]
-    rows = [
-        [1 if i == j else 0 for j in range(m)] for i in range(m)
-    ]
-    rows[k][k] = 0
-    rows[k][k + 1] = 1
-    rows[k + 1][k] = 1
-    rows[k + 1][k + 1] = -beta.star()
-    c = LaurentMatrix.from_rows(rows)
+    c = _transition(alg, k, inverse=True)
     return _conjugate(alg, c), c
 
 
@@ -135,13 +126,15 @@ def shift_object(alg: LefschetzAlgebra, k: int) -> LefschetzAlgebra:
     return _conjugate(alg, s)
 
 
-def _forward_transition(alg: LefschetzAlgebra, k: int) -> LaurentMatrix:
+def _transition(alg: LefschetzAlgebra, k: int, inverse: bool) -> LaurentMatrix:
+    """The transition matrix of the Hurwitz move at k, or of its inverse."""
     m = _checked_position(alg, k)
+    beta = alg.seifert[k, k + 1]
     rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    rows[k][k] = -alg.seifert[k, k + 1]
+    rows[k][k] = 0 if inverse else -beta
     rows[k][k + 1] = 1
     rows[k + 1][k] = 1
-    rows[k + 1][k + 1] = 0
+    rows[k + 1][k + 1] = -beta.star() if inverse else 0
     return LaurentMatrix.from_rows(rows)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from enum import Enum
 
 from .laurent import LaurentPoly
@@ -41,13 +42,16 @@ class SphereTestResult:
     Outcome of the sphere-class equation. `branch` names the decision step
     that fired; NotObstructed carries a witness f, verified exactly to give
     star(f) f <h, h> equal to the spherical value; Inconclusive carries the
-    reason the procedure cannot decide.
+    reason the procedure cannot decide. `kernel` holds the kernel generators
+    the test ran on, `self_pairings` their self-pairings in the same order.
     """
 
     verdict: Verdict
     branch: str
     witness: LaurentPoly | None = None
     reason: str | None = None
+    kernel: tuple[KClass, ...] = ()
+    self_pairings: tuple[LaurentPoly, ...] = ()
 
 
 def kernel_classes(alg: LefschetzAlgebra) -> list[KClass]:
@@ -78,29 +82,32 @@ def sphere_test(alg: LefschetzAlgebra) -> SphereTestResult:
     star(f) f = a^2 sits at exponent 0, forcing c to occupy exponents
     {0, 1} and a^2 c to match the target coefficientwise. Kernels of rank
     two or more are reported Inconclusive: deciding them needs information
-    beyond the pairing.
+    beyond the pairing. The kernel and every generator's self-pairing are
+    computed once and returned with the verdict.
     """
     target = spherical_value(alg.dim)
-    kernel = kernel_classes(alg)
+    kernel = tuple(kernel_classes(alg))
+    pairings = tuple(self_pairing(alg, h) for h in kernel)
+    result = partial(SphereTestResult, kernel=kernel, self_pairings=pairings)
     if not kernel:
-        return SphereTestResult(Verdict.OBSTRUCTED, "kernel rank 0")
+        return result(Verdict.OBSTRUCTED, "kernel rank 0")
     if len(kernel) > 1:
-        return SphereTestResult(
+        return result(
             Verdict.INCONCLUSIVE,
             f"kernel rank {len(kernel)}",
             reason="a rank >= 2 kernel is not decided by the self-pairing alone",
         )
 
-    c = self_pairing(alg, kernel[0])
+    c = pairings[0]
     if c.is_zero():
-        return SphereTestResult(Verdict.OBSTRUCTED, "kernel generator pairs to zero")
+        return result(Verdict.OBSTRUCTED, "kernel generator pairs to zero")
     if c.span() != 1:
-        return SphereTestResult(
+        return result(
             Verdict.OBSTRUCTED,
             f"self-pairing span {c.span()} != 1, but star(f) f has even span",
         )
     if c.valuation() != 0:
-        return SphereTestResult(
+        return result(
             Verdict.OBSTRUCTED,
             f"self-pairing occupies exponents {c.valuation()}..{c.degree()}, "
             "but star(f) f c always keeps the window of c",
@@ -109,8 +116,8 @@ def sphere_test(alg: LefschetzAlgebra) -> SphereTestResult:
     if c == target:
         witness = LaurentPoly.one()
         assert witness.star() * witness * c == target
-        return SphereTestResult(Verdict.NOT_OBSTRUCTED, "witness f = 1", witness=witness)
-    return SphereTestResult(
+        return result(Verdict.NOT_OBSTRUCTED, "witness f = 1", witness=witness)
+    return result(
         Verdict.OBSTRUCTED,
         "no positive integer square a^2 solves a^2 (self-pairing) = spherical value",
     )

@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .catalog import ClassSpec
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
+from .moves import TwistWord
 
 
 class FileFormatError(ValueError):
@@ -54,8 +56,10 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
         if field not in obj:
             raise FileFormatError(f"{where}.{field}: missing")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-        raise FileFormatError(f"{where}: rows/cols must be nonnegative integers")
+    for field, size in (("rows", rows), ("cols", cols)):
+        # type(), not isinstance(), here and below: JSON true must not pass as 1.
+        if type(size) is not int or size < 0:
+            raise FileFormatError(f"{where}.{field}: expected a nonnegative integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"{where}.entries: expected {rows} rows")
     parsed: list[list[LaurentPoly]] = []
@@ -104,9 +108,9 @@ def fibration_from_obj(
     """
     if not isinstance(obj, dict):
         raise FileFormatError("fibration: expected a JSON object")
-    if "n" not in obj or not isinstance(obj["n"], int):
+    if type(obj.get("n")) is not int:
         raise FileFormatError("fibration.n: missing or not an integer")
-    if "m" not in obj or not isinstance(obj["m"], int) or obj["m"] < 0:
+    if type(obj.get("m")) is not int or obj["m"] < 0:
         raise FileFormatError("fibration.m: missing or not a nonnegative integer")
     has_a, has_b = "A" in obj, "B" in obj
     if has_a == has_b:
@@ -132,13 +136,13 @@ def fibration_from_obj(
     return alg, labels
 
 
-def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[Any]]:
+def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]]:
     """
     Parse a classes file: an optional "generators" array of classes, and a
     "classes" array whose entries are either {"vector": ...} or
     {"word": "t2 t1^-1", "seed": k} with a 1-based generator index.
-    Word entries are returned as (word_text, seed_index) for the caller to
-    resolve against the fibre.
+    Word entries are returned as (TwistWord, 0-based seed index), the spec
+    form that induced_total_space resolves against the fibre.
     """
     if not isinstance(obj, dict):
         raise FileFormatError("classes: expected a JSON object")
@@ -153,7 +157,7 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[Any]]:
     entries = obj.get("classes", [])
     if not isinstance(entries, list):
         raise FileFormatError("classes.classes: expected an array")
-    specs: list[Any] = []
+    specs: list[ClassSpec] = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FileFormatError(f"classes.classes[{i}]: expected an object")
@@ -162,12 +166,16 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[Any]]:
         elif "word" in entry:
             if not isinstance(entry["word"], str):
                 raise FileFormatError(f"classes.classes[{i}].word: expected a string")
+            try:
+                word = TwistWord.parse(entry["word"])
+            except ValueError as exc:
+                raise FileFormatError(f"classes.classes[{i}].word: {exc}") from exc
             seed = entry.get("seed")
-            if not isinstance(seed, int) or seed < 1:
+            if type(seed) is not int or seed < 1:
                 raise FileFormatError(
                     f"classes.classes[{i}].seed: expected a 1-based generator index"
                 )
-            specs.append((entry["word"], seed - 1))
+            specs.append((word, seed - 1))
         else:
             raise FileFormatError(
                 f"classes.classes[{i}]: needs either 'vector' or 'word'"

@@ -3,8 +3,9 @@ Independent oracles shared by the test suite.
 
 Everything here is deliberately written by a different route than the
 library: determinants by cofactor expansion, ranks by rational Gaussian
-elimination after evaluating q, and the published band-matrix formulas
-entered directly rather than built through the induction pipeline.
+elimination after evaluating q, monodromy pairings by their closed formula,
+and the published band-matrix formulas entered directly rather than built
+through the induction pipeline.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from qlefschetz.laurent import LaurentPoly, q
+from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
 
 
@@ -91,6 +93,17 @@ def fraction_det(rows: list[list[Fraction]]) -> Fraction:
             for j in range(c, n):
                 work[i][j] -= f * work[c][j]
     return det
+
+
+def monodromy_pairing_matrix(alg: LefschetzAlgebra) -> LaurentMatrix:
+    """
+    All pairings of the monodromy image of a basis class against another,
+    by the closed formula (-1)^n q^-1 S (S^-1)* S: entry (i, j) is the
+    pairing of N e_i with e_j.
+    """
+    s = alg.seifert
+    product = s @ s.unitriangular_inverse().star_transpose() @ s
+    return product.scale(LaurentPoly.monomial(alg.parity_sign, -1))
 
 
 # -- published matrices, entered from their closed-form descriptions --------

@@ -176,12 +176,8 @@ def test_induced_total_space_reproduces_generators():
         ]
         assert induced_total_space(fibre, n, windows) == xab(2, 3, n)
         words = [
-            (TwistWord.parse(word), fibre_class)
-            for word, fibre_class in (
-                ("t2", milnor_ar(3, n).sphere_classes[0]),
-                ("t2^-1 t1", milnor_ar(3, n).sphere_classes[3]),
-                ("t3 t1", milnor_ar(3, n).sphere_classes[1]),
-            )
+            (TwistWord.parse(word), seed)
+            for word, seed in (("t2", 0), ("t2^-1 t1", 3), ("t3 t1", 1))
         ]
         assert induced_total_space(milnor_ar(3, n), n, words) == mirror_p2(n)
 
@@ -216,7 +212,7 @@ def test_twist_word_route_of_first_band_cycle():
     # first sphere along the second, whose class is the two-step window.
     for n in (3, 4):
         fibre = milnor_ar(4, n)
-        spec = (TwistWord.parse("t2"), fibre.sphere_classes[0])
+        spec = (TwistWord.parse("t2"), 0)
         direct = fibre.sphere_classes[0] + fibre.sphere_classes[1]
         windows = [
             fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5]

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+
+import pytest
 
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
 from qlefschetz.laurent import LaurentPoly, q
+from qlefschetz.lefschetz import LefschetzAlgebra
+from qlefschetz.matrix import LaurentMatrix
 from qlefschetz.serialize import dumps_canonical, fibration_to_obj, poly_to_obj
 
 from oracles import CLASSICAL_23_INTERSECTION, CLASSICAL_23_SEIFERT
@@ -143,28 +148,53 @@ def test_obstruct_full_rank(tmp_path, capsys):
     assert report["kernel_rank"] == 0
 
 
+# Block-diagonal doubling of the rank-one positive control: a rank-2 kernel.
+DOUBLED_CONTROL = {
+    "n": 3,
+    "m": 4,
+    "A": {
+        "rows": 4,
+        "cols": 4,
+        "entries": [
+            [[[0, "1"]], [[0, "1"], [1, "1"]], [], []],
+            [[], [[0, "1"]], [], []],
+            [[], [], [[0, "1"]], [[0, "1"], [1, "1"]]],
+            [[], [], [], [[0, "1"]]],
+        ],
+    },
+}
+
+
 def test_obstruct_inconclusive_synthetic(tmp_path, capsys):
-    # Block-diagonal doubling of the rank-one positive control.
-    doubled = {
-        "n": 3,
-        "m": 4,
-        "A": {
-            "rows": 4,
-            "cols": 4,
-            "entries": [
-                [[[0, "1"]], [[0, "1"], [1, "1"]], [], []],
-                [[], [[0, "1"]], [], []],
-                [[], [], [[0, "1"]], [[0, "1"], [1, "1"]]],
-                [[], [], [], [[0, "1"]]],
-            ],
-        },
-    }
     path = tmp_path / "doubled.json"
-    path.write_text(dumps_canonical(doubled), encoding="utf-8")
+    path.write_text(dumps_canonical(DOUBLED_CONTROL), encoding="utf-8")
     code, report = run_json(capsys, ["obstruct", path])
     assert code == 0
     assert report["verdict"] == "inconclusive"
     assert report["kernel_rank"] == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_obstruct_computes_each_invariant_once(tmp_path, capsys, monkeypatch, fmt):
+    # The report only formats what sphere_test returns: one nullspace per
+    # command and one self-pairing (one pairing call) per kernel generator.
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(LaurentMatrix, "nullspace", counting("nullspace", LaurentMatrix.nullspace))
+    monkeypatch.setattr(LefschetzAlgebra, "pairing", counting("pairing", LefschetzAlgebra.pairing))
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(dumps_canonical(DOUBLED_CONTROL), encoding="utf-8")
+    for path, rank in ((write_xab(tmp_path, 2, 3, 3), 1), (doubled, 2)):
+        counts.clear()
+        assert main(["obstruct", str(path), "--format", fmt]) == 0
+        assert counts == {"nullspace": 1, "pairing": rank}
 
 
 def test_move_roundtrip_bytes(tmp_path, capsys):
@@ -293,6 +323,35 @@ def test_catalog_xab_and_induce_agree(tmp_path, capsys):
     )
     assert code == 0
     assert induced.read_bytes() == direct.read_bytes()
+
+
+def write_induce_inputs(tmp_path, capsys, classes):
+    """A type-A_4 fibre file and a classes file with its spheres as generators."""
+    fibre = tmp_path / "fibre.json"
+    spec = tmp_path / "classes.json"
+    argv = ["catalog", "milnor", "--r", 4, "--n", 4, "--output", fibre]
+    assert run(capsys, argv + ["--classes-output", spec])[0] == 0
+    obj = json.loads(spec.read_text(encoding="utf-8"))
+    obj["classes"] = classes
+    spec.write_text(dumps_canonical(obj), encoding="utf-8")
+    return ["catalog", "induce", "--fibre", fibre, "--classes", spec, "--n", 4]
+
+
+def test_catalog_induce_rejects_seed_beyond_generators(tmp_path, capsys):
+    argv = write_induce_inputs(tmp_path, capsys, [{"word": "t1", "seed": 6}])
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed 6" in err
+
+
+def test_catalog_induce_names_malformed_word(tmp_path, capsys):
+    classes = [{"word": "t2", "seed": 1}, {"word": "t2 x1", "seed": 2}]
+    argv = write_induce_inputs(tmp_path, capsys, classes)
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "classes.classes[1].word" in err
 
 
 def test_catalog_mirror_p2(tmp_path, capsys):

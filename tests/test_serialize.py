@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 from qlefschetz.laurent import q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
+from qlefschetz.moves import TwistWord
 from qlefschetz.serialize import (
     FileFormatError,
     class_specs_from_obj,
@@ -104,11 +106,53 @@ def test_class_specs_parsing():
     parsed_gens, specs = class_specs_from_obj(obj)
     assert parsed_gens == generators
     assert specs[0] == KClass([1, -1])
-    assert specs[1] == ("t2 t1^-1", 0)
+    assert specs[1] == (TwistWord.parse("t2 t1^-1"), 0)
     with pytest.raises(FileFormatError):
         class_specs_from_obj({"classes": [{"word": "t1", "seed": 0}]})
     with pytest.raises(FileFormatError):
         class_specs_from_obj({"classes": [{}]})
+
+
+UNIT_FILE = {"n": 4, "m": 1, "A": {"rows": 1, "cols": 1, "entries": [[[[0, "1"]]]]}}
+
+
+def corner_file(coeff):
+    """A 2 x 2 Seifert-matrix file whose entry (1, 2) is coeff * q."""
+    entries = [[[[0, "1"]], [[1, coeff]]], [[], [[0, "1"]]]]
+    return {"n": 4, "m": 2, "A": {"rows": 2, "cols": 2, "entries": entries}}
+
+
+@pytest.mark.parametrize(
+    "load, obj, field",
+    [
+        (fibration_from_obj, {**UNIT_FILE, "n": True}, "fibration.n"),
+        (fibration_from_obj, {**UNIT_FILE, "m": True}, "fibration.m"),
+        (fibration_from_obj, {**UNIT_FILE, "A": {**UNIT_FILE["A"], "rows": True}},
+         "fibration.A.rows"),
+        (fibration_from_obj, {**UNIT_FILE, "A": {**UNIT_FILE["A"], "cols": True}},
+         "fibration.A.cols"),
+        (matrix_from_obj, {"rows": True, "cols": True, "entries": [[[[0, "1"]]]]},
+         "matrix.rows"),
+        (class_specs_from_obj, {"classes": [{"word": "t1", "seed": True}]},
+         "classes.classes[0].seed"),
+        (fibration_from_obj, corner_file(True), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file(1.5), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file(2.0), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file(" 1_0"), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file("1_0"), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file(" 1"), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file("1\n"), "fibration.A.entries[0][1]"),
+        (fibration_from_obj, corner_file("+1"), "fibration.A.entries[0][1]"),
+    ],
+    ids=[
+        "n-bool", "m-bool", "rows-bool", "cols-bool", "matrix-bool", "seed-bool",
+        "coeff-bool", "coeff-float", "coeff-integral-float", "coeff-space-underscore",
+        "coeff-underscore", "coeff-leading-space", "coeff-trailing-newline", "coeff-plus",
+    ],
+)
+def test_loader_rejects_bools_floats_and_loose_numerals(load, obj, field):
+    with pytest.raises(FileFormatError, match=re.escape(field + ":")):
+        load(obj)
 
 
 def test_dumps_canonical_is_deterministic():
