@@ -347,6 +347,8 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     else:
         with open(args.target_file, encoding="utf-8") as handle:
             obj = json.load(handle)
+        if isinstance(obj, dict) and "vector" not in obj:
+            raise FileFormatError("target.vector: missing")
         target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj)
     result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}

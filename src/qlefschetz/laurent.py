@@ -3,9 +3,10 @@ Exact arithmetic in the ring Z[q, q^-1] of integer Laurent polynomials.
 
 Every pairing computed by this package (q-intersection numbers, monodromy
 entries, coordinates of K-theory classes) lives in this ring. Values are
-immutable and kept in canonical sparse form: a map from exponent to nonzero
-coefficient, so two values are equal exactly when their term maps are equal.
-Coefficients are Python ints and never overflow.
+immutable and kept in one canonical dense form: the valuation and the tuple
+of coefficients up to the degree, with no zero at either end (zero is
+valuation 0 and the empty tuple). Coefficients are Python ints and never
+overflow.
 
 The units of Z[q, q^-1] are +-q^k; "content" of a polynomial means the gcd
 of its integer coefficients, and "primitive" means content 1.
@@ -16,11 +17,15 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 IntoPoly = Union[int, "LaurentPoly"]
 
 _NUMERAL = re.compile(r"-?[0-9]+")
+
+#: The widest exponent window (degree minus valuation) from_pairs accepts,
+#: far above any span the program writes; the dense form allocates it.
+MAX_SPAN = 2**16
 
 
 class ExactDivisionError(ArithmeticError):
@@ -38,65 +43,68 @@ class LaurentPoly:
     LaurentPoly('1')
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_val", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
             acc[exp] = acc.get(exp, 0) + coeff
-        self._terms = {e: c for e, c in acc.items() if c != 0}
+        val = min(acc, default=0)
+        p = _poly(val, [acc.get(e, 0) for e in range(val, max(acc, default=-1) + 1)])
+        self._val, self._coeffs = p._val, p._coeffs
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls()
+        return _poly(0, ())
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls({0: 1})
+        return _poly(0, (1,))
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
         """The single term coeff * q^exp."""
-        return cls({exp: coeff})
+        return _poly(exp, (coeff,))
 
     @staticmethod
     def coerce(value: IntoPoly) -> LaurentPoly:
         if isinstance(value, LaurentPoly):
             return value
         if isinstance(value, int):
-            return LaurentPoly({0: value})
+            return _poly(0, (value,))
         raise TypeError(f"cannot interpret {value!r} as a Laurent polynomial")
 
     # -- structure -----------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Terms as (exponent, coefficient) pairs, by increasing exponent."""
-        return iter(sorted(self._terms.items()))
+        return ((self._val + i, c) for i, c in enumerate(self._coeffs) if c)
 
     def __getitem__(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
+        i = exp - self._val
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def is_unit(self) -> bool:
         """Whether this is a unit +-q^k of the ring."""
-        return len(self._terms) == 1 and abs(next(iter(self._terms.values()))) == 1
+        return len(self._coeffs) == 1 and abs(self._coeffs[0]) == 1
 
     def degree(self) -> int:
         """Largest exponent with nonzero coefficient."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._terms)
+        return self._val + len(self._coeffs) - 1
 
     def valuation(self) -> int:
         """Smallest exponent with nonzero coefficient."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("the zero polynomial has no valuation")
-        return min(self._terms)
+        return self._val
 
     def span(self) -> int:
         """Degree minus valuation; the width of the exponent window."""
@@ -104,7 +112,7 @@ class LaurentPoly:
 
     def content(self) -> int:
         """Gcd of the integer coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._terms.values()) if self._terms else 0
+        return math.gcd(*self._coeffs)
 
     # -- ring operations -----------------------------------------------
 
@@ -112,15 +120,23 @@ class LaurentPoly:
         if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
             return NotImplemented
         other = LaurentPoly.coerce(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(terms)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        val = min(self._val, other._val)
+        top = max(self._val + len(self._coeffs), other._val + len(other._coeffs))
+        coeffs = [0] * (top - val)
+        for p in (self, other):
+            offset = p._val - val
+            for i, c in enumerate(p._coeffs):
+                coeffs[offset + i] += c
+        return _poly(val, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _poly(self._val, [-c for c in self._coeffs])
 
     def __sub__(self, other: IntoPoly) -> LaurentPoly:
         if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
@@ -134,12 +150,15 @@ class LaurentPoly:
         if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
             return NotImplemented
         other = LaurentPoly.coerce(other)
-        terms: dict[int, int] = {}
-        for e0, c0 in self._terms.items():
-            for e1, c1 in other._terms.items():
-                e = e0 + e1
-                terms[e] = terms.get(e, 0) + c0 * c1
-        return LaurentPoly(terms)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return LaurentPoly.zero()
+        coeffs = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    coeffs[i + j] += x * y
+        return _poly(self._val + other._val, coeffs)
 
     __rmul__ = __mul__
 
@@ -147,8 +166,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_unit():
                 raise ExactDivisionError(f"{self} is not invertible in Z[q, q^-1]")
-            (exp, coeff), = self._terms.items()
-            return LaurentPoly({-exp: coeff}) ** (-n)
+            return _poly(-self._val, self._coeffs) ** (-n)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -177,16 +195,11 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero()
 
-        # Shift both operands to ordinary polynomials with nonzero constant
-        # term; units only move the answer by a monomial.
-        shift = self.valuation() - divisor.valuation()
-        num = _dense(self)
-        den = _dense(divisor)
-
-        quot = [0] * (len(num) - len(den) + 1) if len(num) >= len(den) else []
-        if not quot:
-            raise ExactDivisionError(f"{divisor} does not divide {self}")
-        rem = list(num)
+        # Long division from the top; a divisor longer than self leaves
+        # no quotient slots and the whole of self as the remainder.
+        den = divisor._coeffs
+        quot = [0] * (len(self._coeffs) - len(den) + 1)
+        rem = list(self._coeffs)
         lead = den[-1]
         for i in range(len(quot) - 1, -1, -1):
             c, r = divmod(rem[i + len(den) - 1], lead)
@@ -197,7 +210,7 @@ class LaurentPoly:
                 rem[i + j] -= c * d
         if any(rem):
             raise ExactDivisionError(f"{divisor} does not divide {self}")
-        return LaurentPoly({shift + i: c for i, c in enumerate(quot)})
+        return _poly(self._val - divisor._val, quot)
 
     # -- involution and specializations ----------------------------------
 
@@ -210,15 +223,15 @@ class LaurentPoly:
         >>> LaurentPoly({-1: -1, 0: 3, 1: 2}).star()
         LaurentPoly('2q^-1 + 3 - q')
         """
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        return _poly(1 - self._val - len(self._coeffs), self._coeffs[::-1])
 
     def eval_at_one(self) -> int:
         """Value at q = 1, i.e. the sum of the coefficients."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     def derivative_at_one(self) -> int:
         """Value of the formal derivative d/dq at q = 1: sum of k * c_k."""
-        return sum(e * c for e, c in self._terms.items())
+        return sum(e * c for e, c in self.items())
 
     def vanishing_order_at_one(self) -> int | float:
         """
@@ -232,16 +245,10 @@ class LaurentPoly:
         """
         if self.is_zero():
             return math.inf
-        coeffs = _dense(self)
-        order = 0
-        while sum(coeffs) == 0:
-            # Synthetic division by (q - 1); a unit multiple of (1 - q).
-            quot = [0] * (len(coeffs) - 1)
-            carry = 0
-            for i in range(len(coeffs) - 1, 0, -1):
-                carry += coeffs[i]
-                quot[i - 1] = carry
-            coeffs = quot
+        one_minus_q = _poly(0, (1, -1))
+        p, order = self, 0
+        while p.eval_at_one() == 0:
+            p = p.exact_div(one_minus_q)
             order += 1
         return order
 
@@ -250,7 +257,7 @@ class LaurentPoly:
         x = Fraction(x)
         if x == 0:
             raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
-        return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
+        return sum((c * x**e for e, c in self.items()), Fraction(0))
 
     # -- serialization ---------------------------------------------------
 
@@ -264,9 +271,11 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:
-        """Inverse of to_pairs; rejects bool, float and loose numerals like " 1_0"."""
-        terms: dict[int, int] = {}
-        last = None
+        """
+        Inverse of to_pairs; rejects bool, float, loose numerals like " 1_0"
+        and exponent windows wider than MAX_SPAN.
+        """
+        terms: list[tuple[int, int]] = []
         for pair in pairs:
             exp, coeff = pair
             if not isinstance(exp, int) or isinstance(exp, bool):
@@ -276,10 +285,11 @@ class LaurentPoly:
             coeff = int(coeff)
             if coeff == 0:
                 raise ValueError(f"zero coefficient at exponent {exp}")
-            if last is not None and exp <= last:
+            if terms and exp <= terms[-1][0]:
                 raise ValueError("exponents must be strictly increasing")
-            last = exp
-            terms[exp] = coeff
+            if terms and exp - terms[0][0] > MAX_SPAN:
+                raise ValueError(f"exponent window wider than {MAX_SPAN}")
+            terms.append((exp, coeff))
         return cls(terms)
 
     # -- comparison and display -------------------------------------------
@@ -288,22 +298,20 @@ class LaurentPoly:
         if isinstance(other, int) and not isinstance(other, bool):
             other = LaurentPoly.coerce(other)
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._val == other._val and self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Constants hash like the ints they equal.
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and 0 in self._terms:
-            return hash(self._terms[0])
-        return hash(frozenset(self._terms.items()))
+        # Constants, zero included, hash like the ints they equal.
+        if self._val == 0 and len(self._coeffs) <= 1:
+            return hash(sum(self._coeffs))
+        return hash((self._val, self._coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts: list[str] = []
         for e, c in self.items():
@@ -322,38 +330,37 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
-def _dense(p: LaurentPoly) -> list[int]:
-    """Dense coefficient list of q^-val * p, constant term first."""
-    val = p.valuation()
-    coeffs = [0] * (p.span() + 1)
-    for e, c in p.items():
-        coeffs[e - val] = c
-    return coeffs
+def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
+    """The internal constructor: sum of coeffs[i] q^(val + i), zero ends trimmed."""
+    lo, hi = 0, len(coeffs)
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._val, p._coeffs = (val + lo, tuple(coeffs[lo:hi])) if lo < hi else (0, ())
+    return p
 
 
 def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:
     """
     A gcd of a and b in Z[q, q^-1], determined up to units and returned in
     the normal form with valuation 0 and positive constant term. Computed
-    as (gcd of contents) * (gcd of primitive parts over Q, by Euclid).
+    as (gcd of contents) * (gcd of primitive parts over Q, by Euclid); a
+    zero operand has content 0 and no coefficients, so it drops out.
     """
     a, b = LaurentPoly.coerce(a), LaurentPoly.coerce(b)
-    if a.is_zero():
-        return _unit_normal(b)
-    if b.is_zero():
-        return _unit_normal(a)
-
-    content = math.gcd(a.content(), b.content())
-    fa = [Fraction(c, a.content()) for c in _dense(a)]
-    fb = [Fraction(c, b.content()) for c in _dense(b)]
+    content_a, content_b = a.content(), b.content()
+    fa = [Fraction(c, content_a) for c in a._coeffs]
+    fb = [Fraction(c, content_b) for c in b._coeffs]
     while any(fb):
         fa, fb = fb, _poly_mod(fa, fb)
     # Clear denominators and make the rational gcd a primitive integer one.
     denom = math.lcm(*(f.denominator for f in fa))
     ints = [int(f * denom) for f in fa]
     g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    return _unit_normal(LaurentPoly({i: content * c for i, c in enumerate(ints)}))
+    content = math.gcd(content_a, content_b)
+    return _unit_normal(_poly(0, [content * (c // g) for c in ints]))
 
 
 def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -367,15 +374,11 @@ def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
 
 
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense rational polynomial division (trailing zeros cut)."""
-    while b and b[-1] == 0:
+    """Remainder of dense rational division by a nonzero b; may end in zeros."""
+    while b[-1] == 0:
         b = b[:-1]
     rem = list(a)
-    while len(rem) >= len(b) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
+    while len(rem) >= len(b):
         factor = rem[-1] / b[-1]
         offset = len(rem) - len(b)
         for i, c in enumerate(b):
@@ -388,9 +391,8 @@ def _unit_normal(p: LaurentPoly) -> LaurentPoly:
     """The unit multiple of p with valuation 0 and positive constant term."""
     if p.is_zero():
         return p
-    val = p.valuation()
-    sign = 1 if p[val] > 0 else -1
-    return LaurentPoly({e - val: sign * c for e, c in p.items()})
+    sign = 1 if p._coeffs[0] > 0 else -1
+    return _poly(0, [sign * c for c in p._coeffs])
 
 
 #: The generator q, so that expressions read like the formulas they encode.

@@ -125,7 +125,7 @@ class LefschetzAlgebra:
         seifert1 = self.seifert.eval_at_one()
         intersection1 = self.intersection.eval_at_one()
         constant = LaurentMatrix.from_rows(seifert1)
-        n1 = constant.unitriangular_inverse() @ constant.transpose()
+        n1 = constant.unitriangular_inverse() @ constant.star_transpose()
         monodromy1 = [[self.parity_sign * e for e in row] for row in n1.eval_at_one()]
         return seifert1, intersection1, monodromy1
 

@@ -203,13 +203,6 @@ class LaurentMatrix:
             for i in range(self.rows)
         )
 
-    def transpose(self) -> LaurentMatrix:
-        return LaurentMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def star_transpose(self) -> LaurentMatrix:
         """Transpose combined with q -> q^-1 on every entry."""
         return LaurentMatrix(

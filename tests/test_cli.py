@@ -325,14 +325,19 @@ def test_catalog_xab_and_induce_agree(tmp_path, capsys):
     assert induced.read_bytes() == direct.read_bytes()
 
 
-def write_induce_inputs(tmp_path, capsys, classes):
-    """A type-A_4 fibre file and a classes file with its spheres as generators."""
+def write_induce_inputs(tmp_path, capsys, classes, generators=None):
+    """
+    A type-A_4 fibre file and a classes file whose generators are its
+    spheres, or the given ones.
+    """
     fibre = tmp_path / "fibre.json"
     spec = tmp_path / "classes.json"
     argv = ["catalog", "milnor", "--r", 4, "--n", 4, "--output", fibre]
     assert run(capsys, argv + ["--classes-output", spec])[0] == 0
     obj = json.loads(spec.read_text(encoding="utf-8"))
     obj["classes"] = classes
+    if generators is not None:
+        obj["generators"] = generators
     spec.write_text(dumps_canonical(obj), encoding="utf-8")
     return ["catalog", "induce", "--fibre", fibre, "--classes", spec, "--n", 4]
 
@@ -352,6 +357,27 @@ def test_catalog_induce_names_malformed_word(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "classes.classes[1].word" in err
+
+
+FIRST_SPHERE = [poly_to_obj(c) for c in milnor_ar(4, 4).sphere_classes[0].coords]
+
+
+@pytest.mark.parametrize(
+    "classes, generators, message",
+    [
+        ([{"word": "t1", "seed": 1}], [FIRST_SPHERE, [[[0, "1"]]]], "generator 2 has length 1"),
+        ([{"word": "t2", "seed": 1}, {"vector": [[[0, "1"]]]}], None, "class 2 has length 1"),
+    ],
+    ids=["generator", "class"],
+)
+def test_catalog_induce_names_entry_of_wrong_length(
+    tmp_path, capsys, classes, generators, message
+):
+    argv = write_induce_inputs(tmp_path, capsys, classes, generators)
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
 
 
 def test_catalog_mirror_p2(tmp_path, capsys):
@@ -400,3 +426,13 @@ def test_twist_requires_exactly_one_target(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_twist_target_file_without_vector(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    target = tmp_path / "target.json"
+    target.write_text("{}", encoding="utf-8")
+    code = main(["twist", str(path), "t1", "--target-file", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "target.vector" in err

@@ -143,11 +143,16 @@ def corner_file(coeff):
         (fibration_from_obj, corner_file(" 1"), "fibration.A.entries[0][1]"),
         (fibration_from_obj, corner_file("1\n"), "fibration.A.entries[0][1]"),
         (fibration_from_obj, corner_file("+1"), "fibration.A.entries[0][1]"),
+        # Rejected before any dense storage is built for the window.
+        (fibration_from_obj,
+         {**UNIT_FILE, "A": {**UNIT_FILE["A"], "entries": [[[[0, "1"], [10**9, "1"]]]]}},
+         "fibration.A.entries[0][0]"),
     ],
     ids=[
         "n-bool", "m-bool", "rows-bool", "cols-bool", "matrix-bool", "seed-bool",
         "coeff-bool", "coeff-float", "coeff-integral-float", "coeff-space-underscore",
         "coeff-underscore", "coeff-leading-space", "coeff-trailing-newline", "coeff-plus",
+        "exponent-window",
     ],
 )
 def test_loader_rejects_bools_floats_and_loose_numerals(load, obj, field):
