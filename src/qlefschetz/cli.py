@@ -160,10 +160,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- helpers --------------------------------------------------------------
 
 
-def _load_fibration(path: str, n_override: int | None) -> tuple[LefschetzAlgebra, list[str] | None]:
+def _read_json(path: str, where: str) -> Any:
+    """Parse a JSON file; nesting too deep to parse is a format error of `where`."""
     with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return fibration_from_obj(obj, n_override)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise FileFormatError(f"{where}: JSON nested too deeply") from None
+
+
+def _load_fibration(path: str, n_override: int | None) -> tuple[LefschetzAlgebra, list[str] | None]:
+    return fibration_from_obj(_read_json(path, "fibration"), n_override)
+
+
+def _require_length(c: KClass, size: int, where: str) -> None:
+    if len(c) != size:
+        raise FileFormatError(f"{where}: length {len(c)}, not the fibre's {size}")
 
 
 def _emit(
@@ -333,10 +345,11 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     word = TwistWord.parse(args.word)
     generators = [KClass.basis_vector(alg.size, i) for i in range(alg.size)]
     if args.generators_file is not None:
-        with open(args.generators_file, encoding="utf-8") as handle:
-            parsed, _specs = class_specs_from_obj(json.load(handle))
+        parsed, _specs = class_specs_from_obj(_read_json(args.generators_file, "classes"))
         if parsed is None:
             raise FileFormatError("classes.generators: missing from generators file")
+        for i, g in enumerate(parsed):
+            _require_length(g, alg.size, f"classes.generators[{i}]")
         generators = parsed
     if (args.target_index is None) == (args.target_file is None):
         raise FileFormatError("twist needs exactly one of --target-index/--target-file")
@@ -345,11 +358,11 @@ def _cmd_twist(args: argparse.Namespace) -> int:
             raise IndexError(f"target index {args.target_index} out of range")
         target = KClass.basis_vector(alg.size, args.target_index - 1)
     else:
-        with open(args.target_file, encoding="utf-8") as handle:
-            obj = json.load(handle)
+        obj = _read_json(args.target_file, "target")
         if isinstance(obj, dict) and "vector" not in obj:
             raise FileFormatError("target.vector: missing")
         target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj)
+        _require_length(target, alg.size, "target.vector" if isinstance(obj, dict) else "target")
     result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}
     return _emit(args, report, [f"word: {word}", f"class: {result}"])
@@ -390,8 +403,7 @@ def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
 
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
     fibre, _ = _load_fibration(args.fibre, None)
-    with open(args.classes, encoding="utf-8") as handle:
-        generators, specs = class_specs_from_obj(json.load(handle))
+    generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
     alg = induced_total_space(fibre, args.n, specs, generators)
     artifact = fibration_to_obj(alg)
     lines = _matrix_lines("induced intersection matrix", alg.intersection)

@@ -23,8 +23,9 @@ IntoPoly = Union[int, "LaurentPoly"]
 
 _NUMERAL = re.compile(r"-?[0-9]+")
 
-#: The widest exponent window (degree minus valuation) from_pairs accepts,
-#: far above any span the program writes; the dense form allocates it.
+#: from_pairs accepts exponents e with |e| <= MAX_SPAN // 2, so every exponent
+#: window in a loaded file is at most MAX_SPAN, far above any span the program
+#: writes; the dense form allocates the window.
 MAX_SPAN = 2**16
 
 
@@ -273,7 +274,7 @@ class LaurentPoly:
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:
         """
         Inverse of to_pairs; rejects bool, float, loose numerals like " 1_0"
-        and exponent windows wider than MAX_SPAN.
+        and exponents beyond MAX_SPAN // 2 in absolute value.
         """
         terms: list[tuple[int, int]] = []
         for pair in pairs:
@@ -287,8 +288,8 @@ class LaurentPoly:
                 raise ValueError(f"zero coefficient at exponent {exp}")
             if terms and exp <= terms[-1][0]:
                 raise ValueError("exponents must be strictly increasing")
-            if terms and exp - terms[0][0] > MAX_SPAN:
-                raise ValueError(f"exponent window wider than {MAX_SPAN}")
+            if abs(exp) > MAX_SPAN // 2:
+                raise ValueError(f"exponent {exp} exceeds {MAX_SPAN // 2} in absolute value")
             terms.append((exp, coeff))
         return cls(terms)
 

@@ -2,11 +2,12 @@
 Exact linear algebra over Z[q, q^-1].
 
 Matrices are dense and immutable. Determinants, ranks and nullspaces are
-computed by fraction-free elimination in the Bareiss style: every entry of
-every intermediate matrix is a minor of the input, divisions are exact, and
-no rational-function arithmetic ever appears. Nullspace vectors are returned
-as primitive K-theory classes: denominators cleared, the gcd of the entries
-divided out, and the remaining unit ambiguity (+-q^k) fixed canonically.
+computed by fraction-free elimination in the Bareiss style, and kernel
+vectors by fraction-free back-substitution: every intermediate entry is a
+minor of the input and every division is exact. Nullspace vectors are
+returned as primitive K-theory classes: the gcd of the entries divided out
+(laurent_gcd, which runs Euclid over Q) and the unit ambiguity (+-q^k)
+fixed canonically.
 """
 
 from __future__ import annotations
@@ -181,26 +182,18 @@ class LaurentMatrix:
 
     def __matmul__(self, other: LaurentMatrix | KClass):
         if isinstance(other, KClass):
-            return self.apply(other)
+            if self.cols != len(other):
+                raise ValueError(f"cannot apply {self.rows}x{self.cols} to length {len(other)}")
+            return KClass(_dot(self.row(i), other.coords) for i in range(self.rows))
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out: list[LaurentPoly] = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    acc = acc + self[i, k] * other[k, j]
-                out.append(acc)
-        return LaurentMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, v: KClass) -> KClass:
-        if self.cols != len(v):
-            raise ValueError(f"cannot apply {self.rows}x{self.cols} to length {len(v)}")
-        return KClass(
-            sum((self[i, k] * v[k] for k in range(self.cols)), LaurentPoly.zero())
-            for i in range(self.rows)
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return LaurentMatrix(
+            self.rows,
+            other.cols,
+            tuple(_dot(self.row(i), col) for i in range(self.rows) for col in columns),
         )
 
     def star_transpose(self) -> LaurentMatrix:
@@ -244,46 +237,35 @@ class LaurentMatrix:
         vector per free column, each satisfying self @ v == 0 exactly.
         """
         work, pivot_cols, _ = _bareiss(self.to_rows())
-        pivot_set = set(pivot_cols)
         basis: list[KClass] = []
+        k = 0  # pivots left of the current column
         for free in range(self.cols):
-            if free in pivot_set:
+            if k < len(pivot_cols) and pivot_cols[k] == free:
+                k += 1
                 continue
+            # The last pivot as seed makes every division exact (Cramer's rule).
             coords = [LaurentPoly.zero()] * self.cols
-            coords[free] = LaurentPoly.one()
-            # Back-substitute through the pivot rows, scaling the partial
-            # solution instead of introducing fractions.
-            for r in range(len(pivot_cols) - 1, -1, -1):
-                p = pivot_cols[r]
-                if p > free:
-                    continue
-                t = LaurentPoly.zero()
-                for c in range(p + 1, self.cols):
-                    if not coords[c].is_zero():
-                        t = t + work[r][c] * coords[c]
-                pivot = work[r][p]
-                coords = [pivot * c for c in coords]
-                coords[p] = -t
+            coords[free] = work[k - 1][pivot_cols[k - 1]] if k else LaurentPoly.one()
+            _back_substitute(work[:k], pivot_cols[:k], coords)
             basis.append(KClass(coords).canonical_primitive())
         return basis
 
     def unitriangular_inverse(self) -> LaurentMatrix:
         """
         Inverse of an upper-triangular matrix with unit diagonal; exists
-        over Z[q, q^-1] and is computed by back-substitution.
+        over Z[q, q^-1] and is computed by back-substitution, column by column.
         """
         if not self.is_unitriangular():
             raise ValueError("matrix is not upper-triangular with unit diagonal")
         m = self.rows
-        inv = [[LaurentPoly.zero() for _ in range(m)] for _ in range(m)]
+        rows = self.to_rows()
+        columns: list[list[LaurentPoly]] = []
         for j in range(m):
-            inv[j][j] = LaurentPoly.one()
-            for i in range(j - 1, -1, -1):
-                acc = LaurentPoly.zero()
-                for k in range(i + 1, j + 1):
-                    acc = acc + self[i, k] * inv[k][j]
-                inv[i][j] = -acc
-        return LaurentMatrix.from_rows(inv)
+            column = [LaurentPoly.zero()] * m
+            column[j] = LaurentPoly.one()
+            _back_substitute(rows[: j + 1], range(j + 1), column)
+            columns.append(column)
+        return LaurentMatrix(m, m, tuple(columns[j][i] for i in range(m) for j in range(m)))
 
     def __str__(self) -> str:
         cells = [[str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
@@ -310,14 +292,32 @@ def gram_pairing(gram: LaurentMatrix, h0: KClass, h1: KClass) -> LaurentPoly:
         )
     acc = LaurentPoly.zero()
     for i in range(gram.rows):
-        if h0[i].is_zero():
-            continue
-        left = h0[i].star()
-        for j in range(gram.cols):
-            if h1[j].is_zero():
-                continue
-            acc = acc + left * gram[i, j] * h1[j]
+        if not h0[i].is_zero():
+            acc = acc + h0[i].star() * _dot(gram.row(i), h1.coords)
     return acc
+
+
+def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """The sum of x * y over paired entries, skipping pairs with a zero factor."""
+    acc = LaurentPoly.zero()
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x * y
+    return acc
+
+
+def _back_substitute(
+    rows: Sequence[Sequence[LaurentPoly]], pivot_cols: Sequence[int], x: list[LaurentPoly]
+) -> None:
+    """
+    Solve rows @ x == b in place, bottom up, for echelon rows with pivots in
+    pivot_cols. On entry x holds b at the pivot columns and the chosen
+    values elsewhere; each pivot coordinate is divided out exactly.
+    """
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        p = pivot_cols[r]
+        row = rows[r]
+        x[p] = (x[p] - _dot(row[p + 1 :], x[p + 1 :])).exact_div(row[p])
 
 
 def _bareiss(
@@ -326,8 +326,9 @@ def _bareiss(
     """
     Fraction-free row echelon form, in place. Returns the reduced rows, the
     pivot columns in order, and the sign accumulated by row swaps. Pivots
-    are chosen among the candidate rows by smallest (span, content), ties
-    by row order, to limit coefficient growth deterministically.
+    are the candidates of smallest span, ties by row order, to keep the
+    minors short; the choice changes no result, since the matrix fixes the
+    pivot columns, the determinant and the kernel vector of each free column.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -338,17 +339,10 @@ def _bareiss(
     for c in range(ncols):
         if r >= nrows:
             break
-        best = None
-        for i in range(r, nrows):
-            entry = work[i][c]
-            if entry.is_zero():
-                continue
-            key = (entry.span(), entry.content(), i)
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is None:
+        candidates = [i for i in range(r, nrows) if not work[i][c].is_zero()]
+        if not candidates:
             continue
-        i = best[1]
+        i = min(candidates, key=lambda i: (work[i][c].span(), i))
         if i != r:
             work[r], work[i] = work[i], work[r]
             sign = -sign

@@ -436,3 +436,58 @@ def test_twist_target_file_without_vector(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "target.vector" in err
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "site, role, text",
+    [
+        ("verify", "fibration", '{"n": 3, "m": 1, "B": ' + DEEP + "}"),
+        ("target", "target", DEEP),
+        ("generators", "classes", '{"generators": ' + DEEP + "}"),
+        ("induce", "classes", '{"classes": ' + DEEP + "}"),
+    ],
+    ids=["fibration", "target", "generators", "induce"],
+)
+def test_deeply_nested_json_names_the_file(tmp_path, capsys, site, role, text):
+    fibre = write_xab(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text(text, encoding="utf-8")
+    argv = {
+        "verify": ["verify", deep],
+        "target": ["twist", fibre, "t1", "--target-file", deep],
+        "generators": ["twist", fibre, "t1", "--target-index", 1, "--generators-file", deep],
+        "induce": ["catalog", "induce", "--fibre", fibre, "--classes", deep, "--n", 4],
+    }[site]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{role}: JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize("word", ["", "t1"], ids=["empty-word", "t1"])
+def test_twist_names_target_of_wrong_length(tmp_path, capsys, word):
+    path = write_xab(tmp_path)
+    target = tmp_path / "target.json"
+    target.write_text(dumps_canonical({"vector": [[[0, "1"]]]}), encoding="utf-8")
+    code = main(["twist", str(path), word, "--target-file", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "target.vector: length 1, not the fibre's 5" in captured.err
+
+
+def test_twist_names_generator_of_wrong_length(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    basis = [[[[0, "1"]]] + [[]] * 4]
+    generators = tmp_path / "generators.json"
+    generators.write_text(
+        dumps_canonical({"generators": basis + [[[[0, "1"]]]]}), encoding="utf-8"
+    )
+    argv = ["twist", path, "t1", "--target-index", 1, "--generators-file", generators]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "classes.generators[1]: length 1, not the fibre's 5" in err

@@ -1,4 +1,7 @@
-"""Every demo script runs to completion against the package in src/."""
+"""
+Every demo script runs to completion against the package in src/ and
+prints exactly its pinned output in tests/demo_outputs/<demo>.txt.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def test_demos_are_found():
@@ -24,3 +28,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (OUTPUTS / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -147,12 +147,20 @@ def corner_file(coeff):
         (fibration_from_obj,
          {**UNIT_FILE, "A": {**UNIT_FILE["A"], "entries": [[[[0, "1"], [10**9, "1"]]]]}},
          "fibration.A.entries[0][0]"),
+        # Each polynomial has a window of 0, but the gap between entries is huge.
+        (fibration_from_obj,
+         {"n": 4, "m": 3, "A": {"rows": 3, "cols": 3, "entries": [
+             [[[0, "1"]], [[0, "1"]], [[10**9, "1"]]],
+             [[], [[0, "1"]], [[0, "1"]]],
+             [[], [], [[0, "1"]]],
+         ]}},
+         "fibration.A.entries[0][2]"),
     ],
     ids=[
         "n-bool", "m-bool", "rows-bool", "cols-bool", "matrix-bool", "seed-bool",
         "coeff-bool", "coeff-float", "coeff-integral-float", "coeff-space-underscore",
         "coeff-underscore", "coeff-leading-space", "coeff-trailing-newline", "coeff-plus",
-        "exponent-window",
+        "exponent-window", "exponent-far-apart",
     ],
 )
 def test_loader_rejects_bools_floats_and_loose_numerals(load, obj, field):
