@@ -28,6 +28,11 @@ _NUMERAL = re.compile(r"-?[0-9]+")
 #: writes; the dense form allocates the window.
 MAX_SPAN = 2**16
 
+#: from_pairs accepts coefficient strings of at most MAX_DIGITS decimal
+#: digits, below the interpreter's default int/str limit of 4300, so that a
+#: file is never slow to convert. Writing has no limit (see _decimal).
+MAX_DIGITS = 4096
+
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division in Z[q, q^-1] is requested but not exact."""
@@ -183,9 +188,10 @@ class LaurentPoly:
     def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
         """
         Exact division in Z[q, q^-1]; raises ExactDivisionError when the
-        divisor does not divide self. This is the only division the ring
-        module offers, because it is only ever needed inside fraction-free
-        elimination, where exactness is guaranteed.
+        divisor does not divide self. This is the only public division,
+        because it is only ever needed where exactness is guaranteed:
+        fraction-free elimination (whose updates run the fused _cross_div),
+        back-substitution and gcd normalization.
 
         >>> p = LaurentPoly({0: -1, 1: 2, 2: -1})   # -(1 - q)^2
         >>> p.exact_div(LaurentPoly({0: 1, 1: -1}))
@@ -268,13 +274,17 @@ class LaurentPoly:
         exponents; coefficients as decimal strings so they survive readers
         with 64-bit integers. 1 - q becomes [[0, "1"], [1, "-1"]].
         """
-        return [[e, str(c)] for e, c in self.items()]
+        try:
+            return [[e, str(c)] for e, c in self.items()]
+        except ValueError:  # a coefficient beyond the int/str digit limit
+            return [[e, _decimal(c)] for e, c in self.items()]
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:
         """
-        Inverse of to_pairs; rejects bool, float, loose numerals like " 1_0"
-        and exponents beyond MAX_SPAN // 2 in absolute value.
+        Inverse of to_pairs; rejects bool, float, loose numerals like " 1_0",
+        numerals of more than MAX_DIGITS digits and exponents beyond
+        MAX_SPAN // 2 in absolute value.
         """
         terms: list[tuple[int, int]] = []
         for pair in pairs:
@@ -283,6 +293,8 @@ class LaurentPoly:
                 raise ValueError(f"exponent {exp!r} is not an integer")
             if not (type(coeff) is int or isinstance(coeff, str) and _NUMERAL.fullmatch(coeff)):
                 raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
+            if isinstance(coeff, str) and len(coeff) - coeff.startswith("-") > MAX_DIGITS:
+                raise ValueError(f"coefficient at exponent {exp} has more than {MAX_DIGITS} digits")
             coeff = int(coeff)
             if coeff == 0:
                 raise ValueError(f"zero coefficient at exponent {exp}")
@@ -317,10 +329,13 @@ class LaurentPoly:
         parts: list[str] = []
         for e, c in self.items():
             power = "" if e == 0 else "q" if e == 1 else f"q^{e}"
-            if power:
-                body = power if abs(c) == 1 else f"{abs(c)}{power}"
+            if power and abs(c) == 1:
+                body = power
             else:
-                body = str(abs(c))
+                try:
+                    body = f"{abs(c)}{power}"
+                except ValueError:  # beyond the int/str digit limit
+                    body = _decimal(abs(c)) + power
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
@@ -329,6 +344,27 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def _decimal(c: int) -> str:
+    """
+    str(c), also beyond the interpreter's int/str digit limit: such an int
+    is converted in chunks of 600 digits, below the lowest value the limit
+    can be set to (640), and the limit itself is left alone.
+
+    >>> len(_decimal(-10**5000))
+    5002
+    """
+    try:
+        return str(c)
+    except ValueError:
+        pass
+    chunks, rest = [], abs(c)
+    while rest:
+        rest, chunk = divmod(rest, 10**600)
+        chunks.append(chunk)
+    head = ("-" if c < 0 else "") + str(chunks.pop())
+    return head + "".join(f"{chunk:0600d}" for chunk in reversed(chunks))
 
 
 def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
@@ -341,6 +377,94 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._val, p._coeffs = (val + lo, tuple(coeffs[lo:hi])) if lo < hi else (0, ())
     return p
+
+
+def _cross_div(
+    a: LaurentPoly, p: LaurentPoly, h: LaurentPoly, b: LaurentPoly, d: LaurentPoly
+) -> LaurentPoly:
+    """
+    (a * p - h * b) / d, the update step of fraction-free elimination, in
+    one pass: both products are convolved into one integer buffer, which is
+    long-divided by d in place, and one polynomial is built. Raises
+    ExactDivisionError exactly when exact_div would.
+
+    >>> one = LaurentPoly.one()
+    >>> _cross_div(q, q, one, one, q - 1)      # (q^2 - 1) / (q - 1)
+    LaurentPoly('1 + q')
+    >>> _cross_div(q, q, one, one, q + 2)
+    Traceback (most recent call last):
+    ...
+    qlefschetz.laurent.ExactDivisionError: 2 + q does not divide the cross product
+    """
+    den = d._coeffs
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    ac, pc, hc, bc = a._coeffs, p._coeffs, h._coeffs, b._coeffs
+    if not (ac and pc):
+        ac = pc = ()
+    if not (hc and bc):
+        hc = bc = ()
+    # The buffer spans the exponent windows of both nonzero products.
+    lo_ap, lo_hb = a._val + p._val, h._val + b._val
+    if not ac:
+        if not hc:
+            return _poly(0, ())
+        val, top = lo_hb, lo_hb + len(hc) + len(bc)
+    elif not hc:
+        val, top = lo_ap, lo_ap + len(ac) + len(pc)
+    else:
+        val = min(lo_ap, lo_hb)
+        top = max(lo_ap + len(ac) + len(pc), lo_hb + len(hc) + len(bc))
+    buf = [0] * (top - 1 - val)
+    k = lo_ap - val
+    for x in ac:
+        if x:
+            j = k
+            for y in pc:
+                buf[j] += x * y
+                j += 1
+        k += 1
+    k = lo_hb - val
+    for x in hc:
+        if x:
+            j = k
+            for y in bc:
+                buf[j] -= x * y
+                j += 1
+        k += 1
+    lo, hi = 0, len(buf)
+    while lo < hi and not buf[lo]:
+        lo += 1
+    while hi > lo and not buf[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return _poly(0, ())
+    n, lead = len(den), den[-1]
+    if n == 1:
+        # A monomial divisor divides coefficient by coefficient.
+        quot = buf[lo:hi]
+        if lead != 1:
+            if any(u % lead for u in quot):
+                raise ExactDivisionError(f"{d} does not divide the cross product")
+            quot = [u // lead for u in quot]
+        return _poly(val + lo - d._val, quot)
+    # Long division from the top. Each quotient coefficient overwrites the
+    # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
+    # buf[lo : lo + n - 1] as the remainder.
+    low = den[:-1]
+    for i in range(hi - n, lo - 1, -1):
+        c, r = divmod(buf[i + n - 1], lead)
+        if r:
+            raise ExactDivisionError(f"{d} does not divide the cross product")
+        if c:
+            j = i
+            for v in low:
+                buf[j] -= c * v
+                j += 1
+        buf[i + n - 1] = c
+    if any(buf[lo : lo + n - 1]):
+        raise ExactDivisionError(f"{d} does not divide the cross product")
+    return _poly(val + lo - d._val, buf[lo + n - 1 : hi])
 
 
 def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:

@@ -4,7 +4,10 @@ Exact linear algebra over Z[q, q^-1].
 Matrices are dense and immutable. Determinants, ranks and nullspaces are
 computed by fraction-free elimination in the Bareiss style, and kernel
 vectors by fraction-free back-substitution: every intermediate entry is a
-minor of the input and every division is exact. Nullspace vectors are
+minor of the input and every division is exact. Elimination runs only the
+fused kernel laurent._cross_div, skips updates that cannot change a value
+and keeps a denominator per row, so rows with a zero head are never
+rescaled (see _bareiss). Nullspace vectors are
 returned as primitive K-theory classes: the gcd of the entries divided out
 (laurent_gcd, which runs Euclid over Q) and the unit ambiguity (+-q^k)
 fixed canonically.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .laurent import IntoPoly, LaurentPoly, gcd_many
+from .laurent import IntoPoly, LaurentPoly, _cross_div, gcd_many
 
 EntryLike = Union[int, LaurentPoly]
 
@@ -325,33 +328,59 @@ def _bareiss(
 ) -> tuple[list[list[LaurentPoly]], list[int], int]:
     """
     Fraction-free row echelon form, in place. Returns the reduced rows, the
-    pivot columns in order, and the sign accumulated by row swaps. Pivots
-    are the candidates of smallest span, ties by row order, to keep the
-    minors short; the choice changes no result, since the matrix fixes the
-    pivot columns, the determinant and the kernel vector of each free column.
+    pivot columns in order, and the sign accumulated by row swaps. Every
+    entry of a pivot row is the Bareiss minor; rows below the last pivot
+    are zero.
+
+    Each update is one _cross_div, (x * pivot - head * b) / den[i], done
+    only where it can change a value: a row whose head is zero is skipped
+    whole, and an entry is skipped when it and the pivot-row entry b are
+    both zero. den[i] is the pivot row i was last updated with (1 before
+    any update); a row skipped since then stands for its entries times
+    prev / den[i], prev being the latest pivot, and that factor cancels in
+    its next update, which divides by den[i] (Lee and Saunders 1995). A
+    stale row chosen as pivot row is brought up to date once, as
+    x * prev / den[r] entry by entry.
+
+    Pivots are the candidates of smallest span, ties by row order, to keep
+    the minors short; a stale candidate's span is counted as if up to date.
+    The choice changes no result, since the matrix fixes the pivot columns,
+    the determinant and the kernel vector of each free column.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivot_cols: list[int] = []
     sign = 1
+    zero = LaurentPoly.zero()
     prev = LaurentPoly.one()
+    den = [prev] * nrows
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        candidates = [i for i in range(r, nrows) if not work[i][c].is_zero()]
+        candidates = [i for i in range(r, nrows) if work[i][c]]
         if not candidates:
             continue
-        i = min(candidates, key=lambda i: (work[i][c].span(), i))
+        i = min(candidates, key=lambda i: (work[i][c].span() - den[i].span(), i))
         if i != r:
             work[r], work[i] = work[i], work[r]
+            den[r], den[i] = den[i], den[r]
             sign = -sign
-        pivot = work[r][c]
+        prow = work[r]
+        if den[r] != prev:
+            prow[c:] = [_cross_div(x, prev, zero, zero, den[r]) if x else x for x in prow[c:]]
+        pivot = prow[c]
         for i in range(r + 1, nrows):
-            head = work[i][c]
+            row = work[i]
+            head = row[c]
+            if not head:
+                continue
+            d = den[i]
             for j in range(c + 1, ncols):
-                work[i][j] = (work[i][j] * pivot - head * work[r][j]).exact_div(prev)
-            work[i][c] = LaurentPoly.zero()
+                if row[j] or prow[j]:
+                    row[j] = _cross_div(row[j], pivot, head, prow[j], d)
+            row[c] = zero
+            den[i] = pivot
         prev = pivot
         pivot_cols.append(c)
         r += 1

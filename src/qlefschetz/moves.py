@@ -61,7 +61,8 @@ class TwistWord:
                     sign = -1
                 elif power != "1":
                     raise ValueError(f"unsupported twist power in {token!r}")
-            if not body.startswith("t") or not body[1:].isdigit():
+            # isascii: isdigit alone accepts "²" and, like int(), "١".
+            if not body.startswith("t") or not (body[1:].isascii() and body[1:].isdigit()):
                 raise ValueError(f"bad twist letter {token!r}")
             index = int(body[1:])
             if index < 1:

@@ -9,7 +9,7 @@ import pytest
 
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
-from qlefschetz.laurent import LaurentPoly, q
+from qlefschetz.laurent import MAX_DIGITS, LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import LaurentMatrix
 from qlefschetz.serialize import dumps_canonical, fibration_to_obj, poly_to_obj
@@ -491,3 +491,43 @@ def test_twist_names_generator_of_wrong_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "classes.generators[1]: length 1, not the fibre's 5" in err
+
+
+def write_big_corner(tmp_path, digits):
+    """A 2 x 2 Seifert-matrix file (n = 4) with entry (1, 2) = 10^digits."""
+    entries = [[[[0, "1"]], [[0, "1" + "0" * digits]]], [[], [[0, "1"]]]]
+    path = tmp_path / "big.json"
+    path.write_text(
+        dumps_canonical({"n": 4, "m": 2, "A": {"rows": 2, "cols": 2, "entries": entries}}),
+        encoding="utf-8",
+    )
+    return path
+
+
+# det B = (1 - q)^2 + 10^6000 q for S = [[1, 10^3000], [0, 1]] and n = 4: its
+# middle coefficient, 10^6000 - 2, is beyond the 4300-digit int/str limit.
+BIG_MIDDLE = "9" * 5999 + "8"
+
+
+def test_det_writes_coefficients_beyond_the_int_str_limit(tmp_path, capsys):
+    code, report = run_json(capsys, ["compute", "det", write_big_corner(tmp_path, 3000)])
+    assert code == 0
+    assert report["det"] == [[0, "1"], [1, BIG_MIDDLE], [2, "1"]]
+
+
+def test_table_writes_coefficients_beyond_the_int_str_limit(tmp_path, capsys):
+    path = write_big_corner(tmp_path, 3000)
+    code, out = run(capsys, ["compute", "det", path, "--format", "table"])
+    assert code == 0
+    assert f"1 + {BIG_MIDDLE}q + q^2" in out
+    assert str(-10**6000 * q) == "-1" + "0" * 6000 + "q"
+
+
+def test_coefficient_numerals_are_capped_on_read(tmp_path, capsys):
+    assert main(["verify", str(write_big_corner(tmp_path, MAX_DIGITS - 1))]) == 0
+    capsys.readouterr()
+    code = main(["verify", str(write_big_corner(tmp_path, MAX_DIGITS))])
+    err = capsys.readouterr().err
+    assert code == 2
+    field = "fibration.A.entries[0][1]"
+    assert f"{field}: coefficient at exponent 0 has more than {MAX_DIGITS} digits" in err

@@ -1,0 +1,59 @@
+"""
+The fused elimination kernel _cross_div against the public ring operators.
+
+(a * p - h * b) / d must equal (a * p - h * b).exact_div(d) whenever the
+division is exact, and raise ExactDivisionError whenever it is not. Half of
+the cases scale a and b by d so that the division is exact; the other half
+use an arbitrary d, which mostly does not divide.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlefschetz.laurent import ExactDivisionError, LaurentPoly, _cross_div, q
+
+bounded = settings(deadline=None, max_examples=100)
+
+polys = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(
+        lambda val, coeffs: LaurentPoly((val + i, c) for i, c in enumerate(coeffs)),
+        st.integers(-3, 2),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+    ),
+)
+nonzero = polys.filter(bool)
+
+
+@bounded
+@given(polys, polys, polys, polys, nonzero, st.booleans())
+def test_cross_div_matches_the_ring_operators(a, p, h, b, d, exact):
+    if exact:
+        a, b = a * d, b * d
+    try:
+        expected = (a * p - h * b).exact_div(d)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            _cross_div(a, p, h, b, d)
+    else:
+        assert _cross_div(a, p, h, b, d) == expected
+
+
+def test_cross_div_edge_cases():
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    assert _cross_div(zero, q, zero, q, q - 1) == zero
+    assert _cross_div(q, q, q, q, 1 + q) == zero  # the products cancel
+    assert _cross_div(q**-3, 2 * q, zero, q, 2 * q**-4) == q**2
+    assert _cross_div(zero, zero, -one, 1 - q**2, 1 - q) == 1 + q
+    with pytest.raises(ExactDivisionError):
+        _cross_div(q, one, zero, zero, 2 * one)  # a monomial divisor
+    with pytest.raises(ExactDivisionError):
+        # 3q / 2q leaves 1 in the top slot; the low slot then cancels exactly.
+        _cross_div(1 + 3 * q, one, zero, zero, 1 + 2 * q)
+    with pytest.raises(ExactDivisionError):
+        _cross_div(one, one, zero, zero, q**2 + 1)  # divisor longer than the product
+    with pytest.raises(ZeroDivisionError):
+        _cross_div(q, q, one, one, zero)

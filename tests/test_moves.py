@@ -279,6 +279,14 @@ def test_twist_word_parsing():
         TwistWord.parse("t1^2")
 
 
+@pytest.mark.parametrize("token", ["t\u0661", "t\u00b2"])
+def test_twist_letters_take_ascii_digits_only(token):
+    # "t\u0661" (Arabic-Indic one) used to parse as t1; "t\u00b2" (superscript
+    # two) passed isdigit and then failed inside int().
+    with pytest.raises(ValueError, match="bad twist letter"):
+        TwistWord.parse(token)
+
+
 def test_apply_twist_word():
     rng = random.Random(31)
     alg = rand_algebra(rng, 3, 4)
