@@ -12,11 +12,13 @@ target objects) are 1-based; the library itself is 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .catalog import induced_total_space, milnor_ar, mirror_p2, xab
+from .laurent import _decimal
 from .lefschetz import ConsistencyError, LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 from .moves import (
@@ -67,7 +69,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it is the same every time."""
     parser = argparse.ArgumentParser(
         prog="qlef",
         description="Exact q-deformed intersection calculus for Lefschetz fibrations.",
@@ -161,12 +165,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str, where: str) -> Any:
-    """Parse a JSON file; nesting too deep to parse is a format error of `where`."""
+    """
+    Parse a JSON file. Nesting too deep to parse, text that is not UTF-8
+    and an integer literal beyond the interpreter's digit limit are format
+    errors of `where`; a syntax error stays a JSONDecodeError.
+    """
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except RecursionError:
             raise FileFormatError(f"{where}: JSON nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}") from None
 
 
 def _load_fibration(path: str, n_override: int | None) -> tuple[LefschetzAlgebra, list[str] | None]:
@@ -181,13 +193,14 @@ def _require_length(c: KClass, size: int, where: str) -> None:
 def _emit(
     args: argparse.Namespace,
     report: dict[str, Any],
-    table_lines: list[str],
+    table_lines: Callable[[], list[str]],
     artifact: dict[str, Any] | None = None,
 ) -> int:
+    """Print the report, or the table lines (built only then); write --output."""
     if getattr(args, "format", "json") == "json":
         sys.stdout.write(dumps_canonical(report))
     else:
-        sys.stdout.write("\n".join(table_lines) + "\n")
+        sys.stdout.write("\n".join(table_lines()) + "\n")
     output = getattr(args, "output", None)
     if output is not None:
         with open(output, "w", encoding="utf-8") as handle:
@@ -202,10 +215,11 @@ def _matrix_lines(title: str, m: LaurentMatrix) -> list[str]:
 def _int_matrix_lines(title: str, rows: list[list[int]]) -> list[str]:
     if not rows:
         return [f"{title}: (empty)"]
-    widths = [max(len(str(r[j])) for r in rows) for j in range(len(rows[0]))]
+    cells = [[_decimal(x) for x in row] for row in rows]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
     return [f"{title}:"] + [
-        "  [ " + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + " ]"
-        for row in rows
+        "  [ " + "  ".join(x.rjust(w) for x, w in zip(row, widths)) + " ]"
+        for row in cells
     ]
 
 
@@ -223,12 +237,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     if labels is not None:
         report["labels"] = labels
-    lines = [
-        f"consistent fibration datum: n = {alg.dim}, m = {alg.size}",
-        *_matrix_lines("Seifert matrix", alg.seifert),
-        *_matrix_lines("intersection matrix", alg.intersection),
-    ]
-    return _emit(args, report, lines)
+    return _emit(
+        args,
+        report,
+        lambda: [
+            f"consistent fibration datum: n = {alg.dim}, m = {alg.size}",
+            *_matrix_lines("Seifert matrix", alg.seifert),
+            *_matrix_lines("intersection matrix", alg.intersection),
+        ],
+    )
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -236,25 +253,27 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     what = args.what
     if what == "det":
         value = alg.intersection.det()
-        return _emit(args, {"det": poly_to_obj(value)}, [f"det = {value}"])
+        return _emit(args, {"det": poly_to_obj(value)}, lambda: [f"det = {value}"])
     if what == "nullspace":
         basis = alg.intersection.nullspace()
         return _emit(
             args,
             {"nullspace": [kclass_to_obj(v) for v in basis]},
-            [f"nullspace rank {len(basis)}"] + [f"  {v}" for v in basis],
+            lambda: [f"nullspace rank {len(basis)}"] + [f"  {v}" for v in basis],
         )
     if what == "monodromy":
         n_q = alg.monodromy()
         return _emit(
-            args, {"monodromy": matrix_to_obj(n_q)}, _matrix_lines("q-monodromy", n_q)
+            args,
+            {"monodromy": matrix_to_obj(n_q)},
+            lambda: _matrix_lines("q-monodromy", n_q),
         )
     if what == "givental":
         g = alg.charpoly_matrix()
         return _emit(
             args,
             {"givental": matrix_to_obj(g)},
-            _matrix_lines("constant-Seifert deformation", g),
+            lambda: _matrix_lines("constant-Seifert deformation", g),
         )
     if what == "classical":
         seifert1, intersection1, monodromy1 = alg.specialize_classical()
@@ -263,22 +282,27 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "intersection": intersection1,
             "monodromy": monodromy1,
         }
-        lines = (
-            _int_matrix_lines("classical Seifert matrix", seifert1)
+        return _emit(
+            args,
+            report,
+            lambda: _int_matrix_lines("classical Seifert matrix", seifert1)
             + _int_matrix_lines("classical intersection matrix", intersection1)
-            + _int_matrix_lines("classical monodromy", monodromy1)
+            + _int_matrix_lines("classical monodromy", monodromy1),
         )
-        return _emit(args, report, lines)
     cover, matching = alg.double_cover()
     artifact = fibration_to_obj(cover)
     report = {
         "fibration": artifact,
         "matching_classes": [kclass_to_obj(s) for s in matching],
     }
-    lines = _matrix_lines("double cover Seifert matrix", cover.seifert) + [
-        "matching classes:"
-    ] + [f"  {s}" for s in matching]
-    return _emit(args, report, lines, artifact=artifact)
+    return _emit(
+        args,
+        report,
+        lambda: _matrix_lines("double cover Seifert matrix", cover.seifert)
+        + ["matching classes:"]
+        + [f"  {s}" for s in matching],
+        artifact=artifact,
+    )
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
@@ -302,16 +326,20 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
         "witness": None if result.witness is None else poly_to_obj(result.witness),
         "reason": result.reason,
     }
-    lines = [f"verdict: {result.verdict.value} ({result.branch})"]
-    if result.witness is not None:
-        lines.append(f"witness: {result.witness}")
-    if result.reason is not None:
-        lines.append(f"reason: {result.reason}")
-    lines.append(f"kernel rank: {len(kernel)}")
-    for h, p in zip(kernel, result.self_pairings):
-        lines.append(f"  generator {h}")
-        lines.append(f"    self-pairing {p}")
-        lines.append(f"    betti lower bound {betti_lower_bound(p)}")
+
+    def lines() -> list[str]:
+        out = [f"verdict: {result.verdict.value} ({result.branch})"]
+        if result.witness is not None:
+            out.append(f"witness: {result.witness}")
+        if result.reason is not None:
+            out.append(f"reason: {result.reason}")
+        out.append(f"kernel rank: {len(kernel)}")
+        for h, p in zip(kernel, result.self_pairings):
+            out.append(f"  generator {h}")
+            out.append(f"    self-pairing {p}")
+            out.append(f"    betti lower bound {betti_lower_bound(p)}")
+        return out
+
     return _emit(args, report, lines)
 
 
@@ -329,14 +357,19 @@ def _cmd_move(args: argparse.Namespace) -> int:
         moved = shift_object(alg, k)
     artifact = fibration_to_obj(moved, labels)
     report: dict[str, Any] = {"move": args.kind, "k": args.k, "fibration": artifact}
-    lines = [f"applied {args.kind} at position {args.k}"]
     if args.kind == "rescale":
         report["amount"] = args.amount
-        lines[0] += f" with weight shift {args.amount}"
     if transition is not None:
         report["transition"] = matrix_to_obj(transition)
-        lines += _matrix_lines("transition matrix", transition)
-    lines += _matrix_lines("new intersection matrix", moved.intersection)
+
+    def lines() -> list[str]:
+        out = [f"applied {args.kind} at position {args.k}"]
+        if args.kind == "rescale":
+            out[0] += f" with weight shift {args.amount}"
+        if transition is not None:
+            out += _matrix_lines("transition matrix", transition)
+        return out + _matrix_lines("new intersection matrix", moved.intersection)
+
     return _emit(args, report, lines, artifact=artifact)
 
 
@@ -365,7 +398,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
         _require_length(target, alg.size, "target.vector" if isinstance(obj, dict) else "target")
     result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}
-    return _emit(args, report, [f"word: {word}", f"class: {result}"])
+    return _emit(args, report, lambda: [f"word: {word}", f"class: {result}"])
 
 
 def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
@@ -379,26 +412,32 @@ def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
     if args.classes_output is not None:
         with open(args.classes_output, "w", encoding="utf-8") as handle:
             handle.write(dumps_canonical(classes_to_obj(list(data.sphere_classes), [])))
-    lines = _matrix_lines("Mukai pairing matrix", data.mukai) + ["sphere classes:"] + [
-        f"  {s}" for s in data.sphere_classes
-    ]
-    return _emit(args, report, lines, artifact=artifact)
+    return _emit(
+        args,
+        report,
+        lambda: _matrix_lines("Mukai pairing matrix", data.mukai)
+        + ["sphere classes:"]
+        + [f"  {s}" for s in data.sphere_classes],
+        artifact=artifact,
+    )
 
 
 def _cmd_catalog_xab(args: argparse.Namespace) -> int:
     alg = xab(args.a, args.b, args.n)
     artifact = fibration_to_obj(alg)
-    lines = _matrix_lines(
-        f"intersection matrix of the ({args.a}, {args.b}) family", alg.intersection
+    title = f"intersection matrix of the ({args.a}, {args.b}) family"
+    return _emit(
+        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
     )
-    return _emit(args, artifact, lines, artifact=artifact)
 
 
 def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
     alg = mirror_p2(args.n)
     artifact = fibration_to_obj(alg)
-    lines = _matrix_lines("intersection matrix of the mirror plane", alg.intersection)
-    return _emit(args, artifact, lines, artifact=artifact)
+    title = "intersection matrix of the mirror plane"
+    return _emit(
+        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
+    )
 
 
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
@@ -406,8 +445,10 @@ def _cmd_catalog_induce(args: argparse.Namespace) -> int:
     generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
     alg = induced_total_space(fibre, args.n, specs, generators)
     artifact = fibration_to_obj(alg)
-    lines = _matrix_lines("induced intersection matrix", alg.intersection)
-    return _emit(args, artifact, lines, artifact=artifact)
+    title = "induced intersection matrix"
+    return _emit(
+        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
+    )
 
 
 if __name__ == "__main__":

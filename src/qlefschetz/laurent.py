@@ -286,7 +286,8 @@ class LaurentPoly:
         numerals of more than MAX_DIGITS digits and exponents beyond
         MAX_SPAN // 2 in absolute value.
         """
-        terms: list[tuple[int, int]] = []
+        dense: list[int] = []  # coefficients from the first exponent up
+        val = last = 0
         for pair in pairs:
             exp, coeff = pair
             if not isinstance(exp, int) or isinstance(exp, bool):
@@ -298,12 +299,17 @@ class LaurentPoly:
             coeff = int(coeff)
             if coeff == 0:
                 raise ValueError(f"zero coefficient at exponent {exp}")
-            if terms and exp <= terms[-1][0]:
+            if dense and exp <= last:
                 raise ValueError("exponents must be strictly increasing")
             if abs(exp) > MAX_SPAN // 2:
                 raise ValueError(f"exponent {exp} exceeds {MAX_SPAN // 2} in absolute value")
-            terms.append((exp, coeff))
-        return cls(terms)
+            if dense:
+                dense.extend([0] * (exp - last - 1))
+            else:
+                val = exp
+            dense.append(coeff)
+            last = exp
+        return _poly(val, dense)
 
     # -- comparison and display -------------------------------------------
 

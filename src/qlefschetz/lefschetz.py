@@ -68,26 +68,39 @@ class LefschetzAlgebra:
         is then checked against the matrix that Seifert form regenerates,
         and any disagreement raises ConsistencyError. This catches
         transcription errors in user files, the dominant failure mode.
+
+        The regenerated matrix S - (-1)^n q S* agrees with the input above
+        the diagonal by construction, has 1 - (-1)^n q on it, and has
+        -(-1)^n q star(B[j, i]) at a lower entry (i, j). So only the
+        diagonal and the lower triangle are checked, in row-major order,
+        which finds the same first disagreement as a full comparison.
         """
         if not intersection.is_square():
             raise ValueError("intersection matrix must be square")
         m = intersection.rows
-        seifert = LaurentMatrix.from_rows(
-            [
-                [intersection[i, j] if i < j else 1 if i == j else 0 for j in range(m)]
+        entries = intersection.entries
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        seifert = LaurentMatrix(
+            m,
+            m,
+            tuple(
+                entries[i * m + j] if i < j else one if i == j else zero
                 for i in range(m)
-            ]
+                for j in range(m)
+            ),
         )
-        expected = _intersection_from_seifert(dim, seifert)
+        minus_sq = LaurentPoly.monomial(1 if dim % 2 else -1, 1)  # -(-1)^n q
+        diagonal = one + minus_sq
         for i in range(m):
-            for j in range(m):
-                if expected[i, j] != intersection[i, j]:
+            for j in range(i + 1):
+                expected = diagonal if i == j else minus_sq * entries[j * m + i].star()
+                if entries[i * m + j] != expected:
                     raise ConsistencyError(
-                        f"entry ({i + 1}, {j + 1}) is {intersection[i, j]}, but the "
-                        f"upper triangle forces {expected[i, j]} for parity (-1)^{dim}",
+                        f"entry ({i + 1}, {j + 1}) is {entries[i * m + j]}, but the "
+                        f"upper triangle forces {expected} for parity (-1)^{dim}",
                         position=(i, j),
                     )
-        return cls(dim, seifert, expected)
+        return cls(dim, seifert, intersection)
 
     @classmethod
     def from_seifert(cls, dim: int, seifert: LaurentMatrix) -> LefschetzAlgebra:

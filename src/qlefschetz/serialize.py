@@ -10,15 +10,23 @@ with exactly one of the two matrices present ("A" the Seifert matrix, "B"
 the intersection matrix) and an optional list of basis labels. Canonical
 dumps sort keys and use a fixed layout, so identical data gives identical
 bytes.
+
+The layout is that of json.dumps(obj, indent=2, sort_keys=True) plus a
+final newline, byte for byte, but dumps_canonical renders it itself: the
+standard encoder falls back to pure Python whenever it indents, and the
+[exponent, coefficient] pairs that make up most of every file then cost a
+call per bracket. Here each pair is one string template, strings are
+quoted by the encoder's own C escaping function, and integers of any size
+are written (json.dumps stops at the interpreter's 4300-digit limit).
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .catalog import ClassSpec
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _decimal
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 from .moves import TwistWord
@@ -33,12 +41,16 @@ def poly_to_obj(p: LaurentPoly) -> list[list[Any]]:
 
 
 def poly_from_obj(obj: Any, where: str = "polynomial") -> LaurentPoly:
-    if not isinstance(obj, list):
-        raise FileFormatError(f"{where}: expected an array of [exponent, coefficient]")
     try:
-        return LaurentPoly.from_pairs(obj)
+        return _parse_poly(obj)
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _parse_poly(obj: Any) -> LaurentPoly:
+    if not isinstance(obj, list):
+        raise ValueError("expected an array of [exponent, coefficient]")
+    return LaurentPoly.from_pairs(obj)
 
 
 def matrix_to_obj(m: LaurentMatrix) -> dict[str, Any]:
@@ -62,16 +74,16 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
             raise FileFormatError(f"{where}.{field}: expected a nonnegative integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"{where}.entries: expected {rows} rows")
-    parsed: list[list[LaurentPoly]] = []
+    flat: list[LaurentPoly] = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"{where}.entries[{i}]: expected {cols} columns")
-        parsed.append(
-            [poly_from_obj(cell, f"{where}.entries[{i}][{j}]") for j, cell in enumerate(row)]
-        )
-    if rows == 0:
-        return LaurentMatrix(0, cols, ())
-    return LaurentMatrix.from_rows(parsed)
+        for j, cell in enumerate(row):
+            try:
+                flat.append(_parse_poly(cell))
+            except (ValueError, TypeError) as exc:
+                raise FileFormatError(f"{where}.entries[{i}][{j}]: {exc}") from exc
+    return LaurentMatrix(rows, cols, tuple(flat))
 
 
 def kclass_to_obj(k: KClass) -> list[list[Any]]:
@@ -193,5 +205,58 @@ def classes_to_obj(
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    r"""
+    Deterministic rendering: sorted keys, two-space indent, ASCII escapes,
+    newline end; the same bytes as json.dumps(obj, indent=2,
+    sort_keys=True) + "\n" for values built from dicts with string keys,
+    lists, strings, ints, bools and None.
+
+    >>> print(dumps_canonical({"p": [[0, "1"], [2, "-3"]], "n": None, "é": []}), end="")
+    {
+      "n": null,
+      "p": [
+        [
+          0,
+          "1"
+        ],
+        [
+          2,
+          "-3"
+        ]
+      ],
+      "\u00e9": []
+    }
+    """
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj: Any, nl: str) -> str:
+    """One JSON value whose first line is already indented; nl ends a line."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return _decimal(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if len(obj) == 2 and type(obj[0]) is int and type(obj[1]) is str:
+            # A polynomial term: the bulk of every file.
+            return f"[{inner}{_decimal(obj[0])},{inner}{_quote(obj[1])}{nl}]"
+        return f"[{inner}{(',' + inner).join([_render(x, inner) for x in obj])}{nl}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        body = (',' + inner).join(
+            [f"{_quote(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())]
+        )
+        return f"{{{inner}{body}{nl}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from qlefschetz.laurent import LaurentPoly, q
-from qlefschetz.lefschetz import LefschetzAlgebra
+from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
 
 
@@ -104,6 +104,33 @@ def monodromy_pairing_matrix(alg: LefschetzAlgebra) -> LaurentMatrix:
     s = alg.seifert
     product = s @ s.unitriangular_inverse().star_transpose() @ s
     return product.scale(LaurentPoly.monomial(alg.parity_sign, -1))
+
+
+def regenerated_intersection(dim: int, intersection: LaurentMatrix) -> LaurentMatrix:
+    """
+    The consistency check by full regeneration: rebuild S - (-1)^n q S*
+    from the upper triangle of the input and compare every entry in
+    row-major order, raising the ConsistencyError that from_intersection
+    documents at the first disagreement. Returns the regenerated matrix.
+    """
+    m = intersection.rows
+    seifert = LaurentMatrix.from_rows(
+        [
+            [intersection[i, j] if i < j else 1 if i == j else 0 for j in range(m)]
+            for i in range(m)
+        ]
+    )
+    sign = -1 if dim % 2 else 1
+    expected = seifert - seifert.star_transpose().scale(LaurentPoly.monomial(sign, 1))
+    for i in range(m):
+        for j in range(m):
+            if expected[i, j] != intersection[i, j]:
+                raise ConsistencyError(
+                    f"entry ({i + 1}, {j + 1}) is {intersection[i, j]}, but the "
+                    f"upper triangle forces {expected[i, j]} for parity (-1)^{dim}",
+                    position=(i, j),
+                )
+    return expected
 
 
 # -- published matrices, entered from their closed-form descriptions --------

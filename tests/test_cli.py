@@ -531,3 +531,91 @@ def test_coefficient_numerals_are_capped_on_read(tmp_path, capsys):
     assert code == 2
     field = "fibration.A.entries[0][1]"
     assert f"{field}: coefficient at exponent 0 has more than {MAX_DIGITS} digits" in err
+
+
+BIG = "1" + "0" * 3000  # the corner entry 10^3000 of write_big_corner(tmp_path, 3000)
+
+
+def test_classical_writes_integers_beyond_the_int_str_limit(tmp_path, capsys):
+    # S1 = [[1, x], [0, 1]] with x = 10^3000 and n = 4: the classical
+    # monodromy S1^-1 S1^T = [[1 - x^2, -x], [x, 1]] has a 6001-digit entry.
+    code, out = run(capsys, ["compute", "classical", write_big_corner(tmp_path, 3000)])
+    assert code == 0
+    assert json.loads(out, parse_int=str) == {
+        "seifert": [["1", BIG], ["0", "1"]],
+        "intersection": [["0", BIG], ["-" + BIG, "0"]],
+        "monodromy": [["-" + "9" * 6000, "-" + BIG], [BIG, "1"]],
+    }
+
+
+def test_classical_table_writes_integers_beyond_the_int_str_limit(tmp_path, capsys):
+    path = write_big_corner(tmp_path, 3000)
+    code, out = run(capsys, ["compute", "classical", path, "--format", "table"])
+    assert code == 0
+    w = len(BIG)
+    assert out.splitlines() == [
+        "classical Seifert matrix:",
+        "  [ 1  " + BIG + " ]",
+        "  [ 0  " + "1".rjust(w) + " ]",
+        "classical intersection matrix:",
+        "  [ " + "0".rjust(w + 1) + "  " + BIG + " ]",
+        "  [ -" + BIG + "  " + "0".rjust(w) + " ]",
+        "classical monodromy:",
+        "  [ -" + "9" * 6000 + "  -" + BIG + " ]",
+        "  [ " + BIG.rjust(6001) + "  " + "1".rjust(w + 1) + " ]",
+    ]
+
+
+HUGE_LITERAL = "1" + "0" * 5000  # a bare JSON integer beyond the 4300-digit limit
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (
+            '{"n": 4, "m": 1, "B": {"rows": 1, "cols": 1, "entries": [[[[0, '
+            + HUGE_LITERAL
+            + "]]]]}}",
+            "4300 digits",
+        ),
+        ("[" + HUGE_LITERAL + "]", "4300 digits"),
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+    ],
+    ids=["integer-in-file", "bare-integer", "bad-utf-8"],
+)
+@pytest.mark.parametrize("role", ["fibration", "target"])
+def test_unreadable_numbers_and_bytes_name_the_file(tmp_path, capsys, role, content, detail):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
+    argv = {
+        "fibration": ["verify", bad],
+        "target": ["twist", write_xab(tmp_path), "t1", "--target-file", bad],
+    }[role]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"bad input: {role}: " in captured.err
+    assert detail in captured.err
+
+
+def test_failed_parse_leaves_the_parser_usable(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    for bad in (
+        ["move", path, "rescale", "--k", 2, "--amount", 5, "--format", "table", "--bogus"],
+        ["compute", "bogus", path],
+        [],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([str(a) for a in bad])
+        assert info.value.code == 2
+    capsys.readouterr()
+    # Defaults are those of a fresh parser: amount 1, JSON format.
+    code, report = run_json(capsys, ["move", path, "rescale", "--k", 2])
+    assert code == 0
+    assert report["amount"] == 1
+    code, report = run_json(capsys, ["verify", path])
+    assert code == 0 and report["consistent"] is True
