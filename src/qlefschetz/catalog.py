@@ -19,19 +19,17 @@ tridiagonal form verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra
-from .matrix import KClass, LaurentMatrix, gram_pairing
+from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 from .moves import TwistWord, apply_twist_word
 
 ClassSpec = Union[KClass, tuple[TwistWord, int]]
 
 
-@dataclass(frozen=True)
-class MilnorData:
+class MilnorData(FrozenRecord):
     """
     The fibre-level input to the induction: the Mukai pairing matrix of the
     r + 1 thimble objects of a type-A_r Milnor fibre, together with the
@@ -40,6 +38,7 @@ class MilnorData:
     space of parity n - 1.
     """
 
+    __slots__ = ("chain_length", "dim", "mukai", "sphere_classes")
     chain_length: int
     dim: int
     mukai: LaurentMatrix

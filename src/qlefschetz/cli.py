@@ -7,6 +7,9 @@ command is deterministic, so identical inputs give byte-identical output.
 Exit codes: 0 on success, 1 when a file fails validation, 2 for usage or
 parse errors. Indices on the command line (move positions, twist letters,
 target objects) are 1-based; the library itself is 0-based.
+
+A cold process imports only what its command runs: the catalog, moves and
+obstructions modules are imported inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -17,19 +20,9 @@ import json
 import sys
 from typing import Any, Callable, Sequence
 
-from .catalog import induced_total_space, milnor_ar, mirror_p2, xab
 from .laurent import _decimal
 from .lefschetz import ConsistencyError, LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
-from .moves import (
-    TwistWord,
-    apply_twist_word,
-    hurwitz_inverse_move,
-    hurwitz_move,
-    rescale_object,
-    shift_object,
-)
-from .obstructions import betti_lower_bound, sphere_test
 from .serialize import (
     FileFormatError,
     class_specs_from_obj,
@@ -196,15 +189,18 @@ def _emit(
     table_lines: Callable[[], list[str]],
     artifact: dict[str, Any] | None = None,
 ) -> int:
-    """Print the report, or the table lines (built only then); write --output."""
-    if getattr(args, "format", "json") == "json":
-        sys.stdout.write(dumps_canonical(report))
-    else:
-        sys.stdout.write("\n".join(table_lines()) + "\n")
+    """
+    Print the report, or the table lines (built only then); write --output,
+    the artifact or else the report, which is rendered once for both.
+    """
+    text = dumps_canonical(report) if getattr(args, "format", "json") == "json" else None
+    sys.stdout.write(text if text is not None else "\n".join(table_lines()) + "\n")
     output = getattr(args, "output", None)
     if output is not None:
+        if text is None or artifact is not None:
+            text = dumps_canonical(report if artifact is None else artifact)
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(dumps_canonical(artifact if artifact is not None else report))
+            handle.write(text)
     return 0
 
 
@@ -306,6 +302,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
+    from .obstructions import betti_lower_bound, sphere_test
+
     alg, _ = _load_fibration(args.file, args.n)
     result = sphere_test(alg)
     kernel = result.kernel
@@ -344,6 +342,8 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_move(args: argparse.Namespace) -> int:
+    from .moves import hurwitz_inverse_move, hurwitz_move, rescale_object, shift_object
+
     alg, labels = _load_fibration(args.file, args.n)
     k = args.k - 1
     transition: LaurentMatrix | None = None
@@ -374,6 +374,8 @@ def _cmd_move(args: argparse.Namespace) -> int:
 
 
 def _cmd_twist(args: argparse.Namespace) -> int:
+    from .moves import TwistWord, apply_twist_word
+
     alg, _ = _load_fibration(args.file, args.n)
     word = TwistWord.parse(args.word)
     generators = [KClass.basis_vector(alg.size, i) for i in range(alg.size)]
@@ -402,6 +404,8 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
+    from .catalog import milnor_ar
+
     data = milnor_ar(args.r, args.n)
     fibre = LefschetzAlgebra.from_seifert(args.n - 1, data.mukai)
     artifact = fibration_to_obj(fibre)
@@ -423,32 +427,29 @@ def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_xab(args: argparse.Namespace) -> int:
+    from .catalog import xab
+
     alg = xab(args.a, args.b, args.n)
-    artifact = fibration_to_obj(alg)
     title = f"intersection matrix of the ({args.a}, {args.b}) family"
-    return _emit(
-        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
-    )
+    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
 
 
 def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
+    from .catalog import mirror_p2
+
     alg = mirror_p2(args.n)
-    artifact = fibration_to_obj(alg)
     title = "intersection matrix of the mirror plane"
-    return _emit(
-        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
-    )
+    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
 
 
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
+    from .catalog import induced_total_space
+
     fibre, _ = _load_fibration(args.fibre, None)
     generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
     alg = induced_total_space(fibre, args.n, specs, generators)
-    artifact = fibration_to_obj(alg)
     title = "induced intersection matrix"
-    return _emit(
-        args, artifact, lambda: _matrix_lines(title, alg.intersection), artifact=artifact
-    )
+    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
 
 
 if __name__ == "__main__":

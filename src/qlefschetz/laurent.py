@@ -9,15 +9,19 @@ valuation 0 and the empty tuple). Coefficients are Python ints and never
 overflow.
 
 The units of Z[q, q^-1] are +-q^k; "content" of a polynomial means the gcd
-of its integer coefficients, and "primitive" means content 1.
+of its integer coefficients, and "primitive" means content 1. Gcds are
+computed over Z by the primitive polynomial remainder sequence, so the ring
+needs no rational numbers.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntoPoly = Union[int, "LaurentPoly"]
 
@@ -261,6 +265,8 @@ class LaurentPoly:
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a nonzero rational point, for cross-checks."""
+        from fractions import Fraction
+
         x = Fraction(x)
         if x == 0:
             raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
@@ -477,21 +483,22 @@ def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:
     """
     A gcd of a and b in Z[q, q^-1], determined up to units and returned in
     the normal form with valuation 0 and positive constant term. Computed
-    as (gcd of contents) * (gcd of primitive parts over Q, by Euclid); a
+    as (gcd of contents) * (gcd of primitive parts), the latter by the
+    primitive polynomial remainder sequence over Z (Brown 1971): each
+    pseudo-remainder is made primitive, so no fraction is ever formed. A
     zero operand has content 0 and no coefficients, so it drops out.
+
+    >>> laurent_gcd(LaurentPoly({-2: 6, -1: -6}), LaurentPoly({0: -4, 2: 4}))
+    LaurentPoly('2 - 2q')
     """
     a, b = LaurentPoly.coerce(a), LaurentPoly.coerce(b)
     content_a, content_b = a.content(), b.content()
-    fa = [Fraction(c, content_a) for c in a._coeffs]
-    fb = [Fraction(c, content_b) for c in b._coeffs]
-    while any(fb):
-        fa, fb = fb, _poly_mod(fa, fb)
-    # Clear denominators and make the rational gcd a primitive integer one.
-    denom = math.lcm(*(f.denominator for f in fa))
-    ints = [int(f * denom) for f in fa]
-    g = math.gcd(*ints)
+    fa = tuple(c // content_a for c in a._coeffs)
+    fb = tuple(c // content_b for c in b._coeffs)
+    while fb:
+        fa, fb = fb, _primitive_prem(fa, fb)
     content = math.gcd(content_a, content_b)
-    return _unit_normal(_poly(0, [content * (c // g) for c in ints]))
+    return _unit_normal(_poly(0, [content * c for c in fa]))
 
 
 def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -504,18 +511,24 @@ def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     return acc
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense rational division by a nonzero b; may end in zeros."""
-    while b[-1] == 0:
-        b = b[:-1]
-    rem = list(a)
-    while len(rem) >= len(b):
-        factor = rem[-1] / b[-1]
-        offset = len(rem) - len(b)
-        for i, c in enumerate(b):
-            rem[offset + i] -= factor * c
-        rem.pop()
-    return rem
+def _primitive_prem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """
+    The primitive part of a pseudo-remainder of a by b (dense coefficients
+    from exponent 0, b trimmed), trimmed at both ends: q is a unit and does
+    not divide b. Each step scales by lead(b) over its gcd with the top.
+    """
+    rem, n, lead = list(a), len(b), b[-1]
+    while len(rem) >= n:
+        top = rem.pop()
+        if top:
+            g = math.gcd(top, lead)
+            scale, factor = lead // g, top // g
+            rem = [scale * x for x in rem]
+            for i, y in enumerate(b[:-1], len(rem) + 1 - n):
+                rem[i] -= factor * y
+    coeffs = _poly(0, rem)._coeffs
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def _unit_normal(p: LaurentPoly) -> LaurentPoly:

@@ -22,10 +22,8 @@ its matching spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentPoly
-from .matrix import KClass, LaurentMatrix, gram_pairing
+from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
 
 class ConsistencyError(ValueError):
@@ -40,10 +38,10 @@ class ConsistencyError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class LefschetzAlgebra:
+class LefschetzAlgebra(FrozenRecord):
     """Immutable fibration datum; all derived values are pure functions."""
 
+    __slots__ = ("dim", "seifert", "intersection")
     dim: int
     seifert: LaurentMatrix
     intersection: LaurentMatrix

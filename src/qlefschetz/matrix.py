@@ -9,27 +9,71 @@ fused kernel laurent._cross_div, skips updates that cannot change a value
 and keeps a denominator per row, so rows with a zero head are never
 rescaled (see _bareiss). Nullspace vectors are
 returned as primitive K-theory classes: the gcd of the entries divided out
-(laurent_gcd, which runs Euclid over Q) and the unit ambiguity (+-q^k)
-fixed canonically.
+(laurent_gcd, a primitive remainder sequence over Z) and the unit
+ambiguity (+-q^k) fixed canonically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 from .laurent import IntoPoly, LaurentPoly, _cross_div, gcd_many
 
 EntryLike = Union[int, LaurentPoly]
 
 
-@dataclass(frozen=True)
-class KClass:
+class FrozenRecord:
+    """
+    The base of the package's immutable records: what a frozen dataclass
+    gives, without importing dataclasses (and inspect) into every process.
+    The fields are the subclass's __slots__, set once by __init__ from
+    positional arguments, keywords or the class's _defaults; assigning or
+    deleting one raises AttributeError. Two instances of the same class are
+    equal, and hash alike, when their field tuples are; repr is
+    Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class KClass(FrozenRecord):
     """
     A vector in Z[q, q^-1]^m: the equivariant K-theory class of a brane or
     vanishing cycle, in coordinates given by a basis of Lefschetz thimbles.
     """
 
+    __slots__ = ("coords",)
     coords: tuple[LaurentPoly, ...]
 
     def __init__(self, coords: Iterable[EntryLike]):
@@ -97,21 +141,20 @@ class KClass:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(FrozenRecord):
     """A rows x cols matrix over Z[q, q^-1], stored row-major."""
 
+    __slots__ = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple[LaurentPoly, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[LaurentPoly, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        super().__init__(rows, cols, entries)
 
     # -- construction -----------------------------------------------------
 

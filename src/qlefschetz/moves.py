@@ -18,29 +18,28 @@ that callers can transport classes between the two bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra
-from .matrix import KClass, LaurentMatrix, gram_pairing
+from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(FrozenRecord):
     """
     A word in signed twist generators, e.g. ((1, +1), (0, -1)) for
     "t2 t1^-1". Letters are stored in written order, 0-based, and applied
     right to left, so the last letter acts first.
     """
 
+    __slots__ = ("letters",)
     letters: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        for gen, sign in self.letters:
+    def __init__(self, letters: tuple[tuple[int, int], ...]):
+        for gen, sign in letters:
             if sign not in (1, -1):
                 raise ValueError(f"twist sign must be +-1, got {sign}")
             if gen < 0:
                 raise ValueError(f"generator index {gen} is negative")
+        super().__init__(letters)
 
     @classmethod
     def parse(cls, text: str) -> TwistWord:

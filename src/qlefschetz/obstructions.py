@@ -17,13 +17,12 @@ assert that any actual Lagrangian sphere exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from enum import Enum
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra
-from .matrix import KClass
+from .matrix import FrozenRecord, KClass
 
 
 class HypothesisError(ValueError):
@@ -36,8 +35,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SphereTestResult:
+class SphereTestResult(FrozenRecord):
     """
     Outcome of the sphere-class equation. `branch` names the decision step
     that fired; NotObstructed carries a witness f, verified exactly to give
@@ -46,12 +44,14 @@ class SphereTestResult:
     the test ran on, `self_pairings` their self-pairings in the same order.
     """
 
+    __slots__ = ("verdict", "branch", "witness", "reason", "kernel", "self_pairings")
+    _defaults = {"witness": None, "reason": None, "kernel": (), "self_pairings": ()}
     verdict: Verdict
     branch: str
-    witness: LaurentPoly | None = None
-    reason: str | None = None
-    kernel: tuple[KClass, ...] = ()
-    self_pairings: tuple[LaurentPoly, ...] = ()
+    witness: LaurentPoly | None
+    reason: str | None
+    kernel: tuple[KClass, ...]
+    self_pairings: tuple[LaurentPoly, ...]
 
 
 def kernel_classes(alg: LefschetzAlgebra) -> list[KClass]:

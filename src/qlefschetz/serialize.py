@@ -23,13 +23,14 @@ are written (json.dumps stops at the interpreter's 4300-digit limit).
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .catalog import ClassSpec
 from .laurent import LaurentPoly, _decimal
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
-from .moves import TwistWord
+
+if TYPE_CHECKING:
+    from .catalog import ClassSpec
 
 
 class FileFormatError(ValueError):
@@ -156,6 +157,8 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]
     Word entries are returned as (TwistWord, 0-based seed index), the spec
     form that induced_total_space resolves against the fibre.
     """
+    from .moves import TwistWord
+
     if not isinstance(obj, dict):
         raise FileFormatError("classes: expected a JSON object")
     generators = None

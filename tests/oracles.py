@@ -10,6 +10,7 @@ through the induction pipeline.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,39 @@ def rand_matrix(rng: random.Random, rows: int, cols: int) -> LaurentMatrix:
 
 def rand_kclass(rng: random.Random, m: int) -> KClass:
     return KClass([rand_poly(rng) for _ in range(m)])
+
+
+def rational_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """
+    The gcd by Euclid over Q: the gcd of the contents times the rational
+    gcd of the primitive parts, cleared of denominators and made primitive,
+    in the normal form with valuation 0 and positive constant term.
+    """
+
+    def primitive(p: LaurentPoly) -> list[Fraction]:
+        if p.is_zero():
+            return []
+        return [Fraction(p[e], p.content()) for e in range(p.valuation(), p.degree() + 1)]
+
+    fa, fb = primitive(a), primitive(b)
+    while any(fb):
+        while fb[-1] == 0:
+            fb.pop()
+        rem = list(fa)
+        while len(rem) >= len(fb):
+            factor = rem[-1] / fb[-1]
+            offset = len(rem) - len(fb)
+            for i, c in enumerate(fb):
+                rem[offset + i] -= factor * c
+            rem.pop()
+        fa, fb = fb, rem
+    denom = math.lcm(*(f.denominator for f in fa))
+    ints = [int(f * denom) for f in fa]
+    content = math.gcd(a.content(), b.content())
+    g = LaurentPoly({i: content * (c // math.gcd(*ints)) for i, c in enumerate(ints)})
+    if g.is_zero():
+        return g
+    return LaurentPoly.monomial(1 if g[g.valuation()] > 0 else -1, -g.valuation()) * g
 
 
 def cofactor_det(mat: LaurentMatrix) -> LaurentPoly:

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import qlefschetz.cli as cli
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
 from qlefschetz.laurent import MAX_DIGITS, LaurentPoly, q
@@ -378,6 +379,28 @@ def test_catalog_induce_names_entry_of_wrong_length(
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("family", ["xab", "mirror-p2", "induce"])
+def test_catalog_output_is_the_json_report_rendered_once(tmp_path, capsys, monkeypatch, family):
+    """These commands' report is the fibration file itself: one rendering
+    goes to stdout and to --output."""
+    if family == "induce":
+        argv = write_induce_inputs(tmp_path, capsys, [{"word": "t2 t1", "seed": 3}])
+    else:
+        argv = ["catalog", family, "--n", 4] + (["--a", 3, "--b", 5] if family == "xab" else [])
+    renders = []
+
+    def counting(obj):
+        renders.append(obj)
+        return dumps_canonical(obj)
+
+    monkeypatch.setattr(cli, "dumps_canonical", counting)
+    out = tmp_path / "out.json"
+    code, stdout = run(capsys, argv + ["--output", out])
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == stdout
+    assert len(renders) == 1
 
 
 def test_catalog_mirror_p2(tmp_path, capsys):

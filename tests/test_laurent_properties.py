@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, laurent_gcd
 
+from oracles import rational_gcd
+
 Q = sympy.Symbol("q")
 
 polys = st.one_of(
@@ -143,3 +145,23 @@ def test_equal_values_hash_alike_whatever_the_construction(a):
     rebuilt = LaurentPoly(reversed(list(a.items())))
     assert rebuilt == a and hash(rebuilt) == hash(a)
     assert LaurentPoly.from_pairs(a.to_pairs()) == a
+
+
+contents = st.sampled_from([1, -1, 2, -3, 6, 12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, polys, contents, contents)
+def test_gcd_is_exactly_the_rational_euclid_normal_form(g, x, y, k, l):
+    """
+    The integer remainder sequence returns the very normal form of Euclid
+    over Q (tests/oracles.py), not just an associate: operands share the
+    factor g and carry non-unit contents of either sign; zero operands,
+    constants and negative exponents are drawn by `polys`.
+    """
+    a, b = k * g * x, l * g * y
+    for u, v in ((a, b), (b, a), (a, 0 * a), (0 * b, b), (a, a)):
+        assert laurent_gcd(u, v) == rational_gcd(u, v)
+    assert laurent_gcd(LaurentPoly.zero(), LaurentPoly.zero()) == rational_gcd(
+        LaurentPoly.zero(), LaurentPoly.zero()
+    ) == 0
