@@ -22,7 +22,7 @@ import math
 from typing import Sequence, Union
 
 from .laurent import LaurentPoly
-from .lefschetz import LefschetzAlgebra
+from .lefschetz import LefschetzAlgebra, parity_sign
 from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 from .moves import TwistWord, apply_twist_word
 
@@ -58,7 +58,7 @@ def milnor_ar(r: int, n: int) -> MilnorData:
     if r < 1:
         raise ValueError(f"the sphere chain needs r >= 1, got {r}")
     m = r + 1
-    upper = 1 + LaurentPoly.monomial(-1 if n % 2 else 1, 1)
+    upper = 1 + LaurentPoly.monomial(parity_sign(n), 1)
     mukai = LaurentMatrix.from_rows(
         [[1 if i == j else upper if i < j else 0 for j in range(m)] for i in range(m)]
     )
@@ -165,7 +165,7 @@ def mirror_p2(n: int) -> LefschetzAlgebra:
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
     fibre = milnor_ar(3, n)
-    s = -1 if n % 2 else 1
+    s = parity_sign(n)
     sphere = fibre.sphere_classes
     direct = [
         sphere[0] + sphere[1],

@@ -396,8 +396,9 @@ def _cmd_twist(args: argparse.Namespace) -> int:
         obj = _read_json(args.target_file, "target")
         if isinstance(obj, dict) and "vector" not in obj:
             raise FileFormatError("target.vector: missing")
-        target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj)
-        _require_length(target, alg.size, "target.vector" if isinstance(obj, dict) else "target")
+        where = "target.vector" if isinstance(obj, dict) else "target"
+        target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj, where)
+        _require_length(target, alg.size, where)
     result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}
     return _emit(args, report, lambda: [f"word: {word}", f"class: {result}"])

@@ -8,6 +8,9 @@ of coefficients up to the degree, with no zero at either end (zero is
 valuation 0 and the empty tuple). Coefficients are Python ints and never
 overflow.
 
+Every product and exact quotient runs one kernel, _cross_div, which
+computes (a * p - h * b) / d; sums and gcds keep their own loops.
+
 The units of Z[q, q^-1] are +-q^k; "content" of a polynomial means the gcd
 of its integer coefficients, and "primitive" means content 1. Gcds are
 computed over Z by the primitive polynomial remainder sequence, so the ring
@@ -28,8 +31,9 @@ IntoPoly = Union[int, "LaurentPoly"]
 _NUMERAL = re.compile(r"-?[0-9]+")
 
 #: from_pairs accepts exponents e with |e| <= MAX_SPAN // 2, so every exponent
-#: window in a loaded file is at most MAX_SPAN, far above any span the program
-#: writes; the dense form allocates the window.
+#: window in a loaded file is at most MAX_SPAN; the dense form allocates the
+#: window. Moves can reach larger exponents in memory (rescale by q^40000), so
+#: serialize.fibration_to_obj refuses to write what from_pairs would refuse.
 MAX_SPAN = 2**16
 
 #: from_pairs accepts coefficient strings of at most MAX_DIGITS decimal
@@ -157,18 +161,11 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other: IntoPoly) -> LaurentPoly:
-        if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
-            return NotImplemented
-        other = LaurentPoly.coerce(other)
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return LaurentPoly.zero()
-        coeffs = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    coeffs[i + j] += x * y
-        return _poly(self._val + other._val, coeffs)
+        if type(other) is not LaurentPoly:  # the common case skips coerce
+            if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
+                return NotImplemented
+            other = LaurentPoly.coerce(other)
+        return _cross_div(self, other, _ZERO, _ZERO, _ONE)
 
     __rmul__ = __mul__
 
@@ -194,34 +191,14 @@ class LaurentPoly:
         Exact division in Z[q, q^-1]; raises ExactDivisionError when the
         divisor does not divide self. This is the only public division,
         because it is only ever needed where exactness is guaranteed:
-        fraction-free elimination (whose updates run the fused _cross_div),
-        back-substitution and gcd normalization.
+        back-substitution, gcd normalization and the order of vanishing at
+        q = 1. It is the kernel _cross_div with the cross term left out.
 
         >>> p = LaurentPoly({0: -1, 1: 2, 2: -1})   # -(1 - q)^2
         >>> p.exact_div(LaurentPoly({0: 1, 1: -1}))
         LaurentPoly('-1 + q')
         """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-
-        # Long division from the top; a divisor longer than self leaves
-        # no quotient slots and the whole of self as the remainder.
-        den = divisor._coeffs
-        quot = [0] * (len(self._coeffs) - len(den) + 1)
-        rem = list(self._coeffs)
-        lead = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            c, r = divmod(rem[i + len(den) - 1], lead)
-            if r != 0:
-                raise ExactDivisionError(f"{divisor} does not divide {self}")
-            quot[i] = c
-            for j, d in enumerate(den):
-                rem[i + j] -= c * d
-        if any(rem):
-            raise ExactDivisionError(f"{divisor} does not divide {self}")
-        return _poly(self._val - divisor._val, quot)
+        return _cross_div(self, _ONE, _ZERO, _ZERO, divisor)
 
     # -- involution and specializations ----------------------------------
 
@@ -391,14 +368,19 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
     return p
 
 
+_ZERO, _ONE = _poly(0, ()), _poly(0, (1,))
+
+
 def _cross_div(
     a: LaurentPoly, p: LaurentPoly, h: LaurentPoly, b: LaurentPoly, d: LaurentPoly
 ) -> LaurentPoly:
     """
-    (a * p - h * b) / d, the update step of fraction-free elimination, in
-    one pass: both products are convolved into one integer buffer, which is
-    long-divided by d in place, and one polynomial is built. Raises
-    ExactDivisionError exactly when exact_div would.
+    (a * p - h * b) / d in one pass: both products are convolved into one
+    integer buffer, which is long-divided by d in place, and one polynomial
+    is built. This is the ring's one kernel: the update step of
+    fraction-free elimination, the product a * p (h = b = 0, d = 1) and the
+    exact quotient a / d (p = 1, h = b = 0). Raises ExactDivisionError when
+    d does not divide the cross product.
 
     >>> one = LaurentPoly.one()
     >>> _cross_div(q, q, one, one, q - 1)      # (q^2 - 1) / (q - 1)
@@ -406,7 +388,7 @@ def _cross_div(
     >>> _cross_div(q, q, one, one, q + 2)
     Traceback (most recent call last):
     ...
-    qlefschetz.laurent.ExactDivisionError: 2 + q does not divide the cross product
+    qlefschetz.laurent.ExactDivisionError: 2 + q does not divide -1 + q^2
     """
     den = d._coeffs
     if not den:
@@ -420,7 +402,7 @@ def _cross_div(
     lo_ap, lo_hb = a._val + p._val, h._val + b._val
     if not ac:
         if not hc:
-            return _poly(0, ())
+            return _ZERO
         val, top = lo_hb, lo_hb + len(hc) + len(bc)
     elif not hc:
         val, top = lo_ap, lo_ap + len(ac) + len(pc)
@@ -444,22 +426,15 @@ def _cross_div(
                 buf[j] -= x * y
                 j += 1
         k += 1
+    n, lead = len(den), den[-1]
+    if n == 1 and lead == 1:
+        # Division by q^k only shifts exponents; every product ends here.
+        return _poly(val - d._val, buf)
     lo, hi = 0, len(buf)
     while lo < hi and not buf[lo]:
         lo += 1
     while hi > lo and not buf[hi - 1]:
         hi -= 1
-    if lo == hi:
-        return _poly(0, ())
-    n, lead = len(den), den[-1]
-    if n == 1:
-        # A monomial divisor divides coefficient by coefficient.
-        quot = buf[lo:hi]
-        if lead != 1:
-            if any(u % lead for u in quot):
-                raise ExactDivisionError(f"{d} does not divide the cross product")
-            quot = [u // lead for u in quot]
-        return _poly(val + lo - d._val, quot)
     # Long division from the top. Each quotient coefficient overwrites the
     # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
     # buf[lo : lo + n - 1] as the remainder.
@@ -467,16 +442,17 @@ def _cross_div(
     for i in range(hi - n, lo - 1, -1):
         c, r = divmod(buf[i + n - 1], lead)
         if r:
-            raise ExactDivisionError(f"{d} does not divide the cross product")
+            break
         if c:
             j = i
             for v in low:
                 buf[j] -= c * v
                 j += 1
         buf[i + n - 1] = c
-    if any(buf[lo : lo + n - 1]):
-        raise ExactDivisionError(f"{d} does not divide the cross product")
-    return _poly(val + lo - d._val, buf[lo + n - 1 : hi])
+    else:
+        if not any(buf[lo : lo + n - 1]):
+            return _poly(val + lo - d._val, buf[lo + n - 1 : hi])
+    raise ExactDivisionError(f"{d} does not divide {a * p - h * b}")
 
 
 def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:

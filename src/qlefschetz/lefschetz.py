@@ -22,6 +22,8 @@ its matching spheres.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .laurent import LaurentPoly
 from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
@@ -54,7 +56,7 @@ class LefschetzAlgebra(FrozenRecord):
     @property
     def parity_sign(self) -> int:
         """(-1)^n for the total space dimension n."""
-        return -1 if self.dim % 2 else 1
+        return parity_sign(self.dim)
 
     # -- constructors -----------------------------------------------------
 
@@ -63,15 +65,12 @@ class LefschetzAlgebra(FrozenRecord):
         """
         Build the datum from a vanishing-cycle intersection matrix. The
         Seifert matrix is its upper triangle with unit diagonal; the input
-        is then checked against the matrix that Seifert form regenerates,
-        and any disagreement raises ConsistencyError. This catches
-        transcription errors in user files, the dominant failure mode.
-
-        The regenerated matrix S - (-1)^n q S* agrees with the input above
-        the diagonal by construction, has 1 - (-1)^n q on it, and has
-        -(-1)^n q star(B[j, i]) at a lower entry (i, j). So only the
-        diagonal and the lower triangle are checked, in row-major order,
-        which finds the same first disagreement as a full comparison.
+        is then compared, in row-major order, with the matrix that Seifert
+        form regenerates (see _regenerated), and the first disagreement
+        raises ConsistencyError. This catches transcription errors in user
+        files, the dominant failure mode. The regenerated upper triangle is
+        the input's own, so only the diagonal and the lower triangle can
+        disagree.
         """
         if not intersection.is_square():
             raise ValueError("intersection matrix must be square")
@@ -87,25 +86,23 @@ class LefschetzAlgebra(FrozenRecord):
                 for j in range(m)
             ),
         )
-        minus_sq = LaurentPoly.monomial(1 if dim % 2 else -1, 1)  # -(-1)^n q
-        diagonal = one + minus_sq
-        for i in range(m):
-            for j in range(i + 1):
-                expected = diagonal if i == j else minus_sq * entries[j * m + i].star()
-                if entries[i * m + j] != expected:
-                    raise ConsistencyError(
-                        f"entry ({i + 1}, {j + 1}) is {entries[i * m + j]}, but the "
-                        f"upper triangle forces {expected} for parity (-1)^{dim}",
-                        position=(i, j),
-                    )
+        for k, expected in enumerate(_regenerated(dim, seifert)):
+            if entries[k] != expected:
+                i, j = divmod(k, m)
+                raise ConsistencyError(
+                    f"entry ({i + 1}, {j + 1}) is {entries[k]}, but the "
+                    f"upper triangle forces {expected} for parity (-1)^{dim}",
+                    position=(i, j),
+                )
         return cls(dim, seifert, intersection)
 
     @classmethod
     def from_seifert(cls, dim: int, seifert: LaurentMatrix) -> LefschetzAlgebra:
-        """Build the datum from an upper-triangular unit-diagonal matrix."""
+        """Build the datum from a unitriangular S; B is what _regenerated yields."""
         if not seifert.is_unitriangular():
             raise ValueError("Seifert matrix must be upper-triangular with unit diagonal")
-        return cls(dim, seifert, _intersection_from_seifert(dim, seifert))
+        m = seifert.rows
+        return cls(dim, seifert, LaurentMatrix(m, m, tuple(_regenerated(dim, seifert))))
 
     # -- the pairing and its symmetries --------------------------------------
 
@@ -129,36 +126,28 @@ class LefschetzAlgebra(FrozenRecord):
         self,
     ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         """
-        The q = 1 shadow: integer Seifert and intersection matrices, plus
-        the classical monodromy (-1)^n S1^-1 S1^T (integral because S1 is
-        unitriangular). Returned as (seifert, intersection, monodromy).
+        The q = 1 shadow: the Seifert, intersection and monodromy matrices
+        of the classical datum (see _classical), evaluated at q = 1. Since
+        star fixes q = 1 values, these are S(1), B(1) and the classical
+        monodromy (-1)^n S(1)^-1 S(1)^T, integral because S(1) is
+        unitriangular. Returned as (seifert, intersection, monodromy).
         """
-        seifert1 = self.seifert.eval_at_one()
-        intersection1 = self.intersection.eval_at_one()
-        constant = LaurentMatrix.from_rows(seifert1)
-        n1 = constant.unitriangular_inverse() @ constant.star_transpose()
-        monodromy1 = [[self.parity_sign * e for e in row] for row in n1.eval_at_one()]
-        return seifert1, intersection1, monodromy1
+        c = self._classical()
+        return c.seifert.eval_at_one(), c.intersection.eval_at_one(), c.monodromy().eval_at_one()
 
     def charpoly_matrix(self) -> LaurentMatrix:
         """
         The constant-coefficient deformation S1 - q (-1)^n S1^T of the
-        classical Seifert form (plain transpose; no q-inversion, since the
-        entries are constants). Its determinant equals det(I - q N) for the
-        classical monodromy N.
+        classical Seifert form S1 = S(1): the intersection matrix of the
+        classical datum (see _classical), since star fixes constants. Its
+        determinant equals det(I - q N) for the classical monodromy N.
         """
-        seifert1 = self.seifert.eval_at_one()
-        m = self.size
-        sq = LaurentPoly.monomial(self.parity_sign, 1)
-        return LaurentMatrix.from_rows(
-            [
-                [
-                    LaurentPoly.coerce(seifert1[i][j]) - sq * seifert1[j][i]
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
-        )
+        return self._classical().intersection
+
+    def _classical(self) -> LefschetzAlgebra:
+        """The datum of the same parity whose Seifert matrix is S(1)."""
+        seifert1 = LaurentMatrix.from_rows(self.seifert.eval_at_one())
+        return LefschetzAlgebra.from_seifert(self.dim, seifert1)
 
     def double_cover(self) -> tuple[LefschetzAlgebra, list[KClass]]:
         """
@@ -168,20 +157,9 @@ class LefschetzAlgebra(FrozenRecord):
         matching sphere joins the two copies of the k-th cycle; its class is
         the mapping cone class e_(k+m) - e_k.
         """
-        m = self.size
-        blocks = [
-            [
-                self.seifert[i, j]
-                if i < m and j < m
-                else self.intersection[i, j - m]
-                if i < m <= j
-                else self.seifert[i - m, j - m]
-                if i >= m and j >= m
-                else LaurentPoly.zero()
-                for j in range(2 * m)
-            ]
-            for i in range(2 * m)
-        ]
+        m, s, b = self.size, self.seifert, self.intersection
+        zeros = (LaurentPoly.zero(),) * m
+        blocks = [s.row(i) + b.row(i) for i in range(m)] + [zeros + s.row(i) for i in range(m)]
         cover = LefschetzAlgebra.from_seifert(self.dim, LaurentMatrix.from_rows(blocks))
         matching = [
             KClass.basis_vector(2 * m, k + m) - KClass.basis_vector(2 * m, k)
@@ -190,6 +168,22 @@ class LefschetzAlgebra(FrozenRecord):
         return cover, matching
 
 
-def _intersection_from_seifert(dim: int, seifert: LaurentMatrix) -> LaurentMatrix:
-    sign = -1 if dim % 2 else 1
-    return seifert - seifert.star_transpose().scale(LaurentPoly.monomial(sign, 1))
+def parity_sign(dim: int) -> int:
+    """(-1)^n for the total space dimension n; only this parity enters a formula."""
+    return -1 if dim % 2 else 1
+
+
+def _regenerated(dim: int, seifert: LaurentMatrix) -> Iterator[LaurentPoly]:
+    """
+    The entries, row-major, of the intersection matrix S - (-1)^n q S* of a
+    unitriangular S: S above the diagonal, 1 - (-1)^n q on it and
+    -(-1)^n q star(S[j, i]) at a lower entry (i, j).
+    """
+    m, s = seifert.rows, seifert.entries
+    minus_sq = LaurentPoly.monomial(-parity_sign(dim), 1)
+    diagonal = 1 + minus_sq
+    return (
+        s[i * m + j] if i < j else diagonal if i == j else minus_sq * s[j * m + i].star()
+        for i in range(m)
+        for j in range(m)
+    )

@@ -4,10 +4,10 @@ Exact linear algebra over Z[q, q^-1].
 Matrices are dense and immutable. Determinants, ranks and nullspaces are
 computed by fraction-free elimination in the Bareiss style, and kernel
 vectors by fraction-free back-substitution: every intermediate entry is a
-minor of the input and every division is exact. Elimination runs only the
-fused kernel laurent._cross_div, skips updates that cannot change a value
-and keeps a denominator per row, so rows with a zero head are never
-rescaled (see _bareiss). Nullspace vectors are
+minor of the input and every division is exact. Each update is one call
+of the ring's one kernel laurent._cross_div; elimination skips updates
+that cannot change a value and keeps a denominator per row, so rows with
+a zero head are never rescaled (see _bareiss). Nullspace vectors are
 returned as primitive K-theory classes: the gcd of the entries divided out
 (laurent_gcd, a primitive remainder sequence over Z) and the unit
 ambiguity (+-q^k) fixed canonically.

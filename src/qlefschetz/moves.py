@@ -19,7 +19,7 @@ that callers can transport classes between the two bases.
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .lefschetz import LefschetzAlgebra
+from .lefschetz import LefschetzAlgebra, parity_sign
 from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
 
@@ -178,8 +178,7 @@ def inverse_dehn_twist_class(
     pins the scalar. When c0 is spherical for the same parity, this inverts
     dehn_twist_class on every class.
     """
-    sign = -1 if dim % 2 else 1
-    scalar = LaurentPoly.monomial(sign, -1) * gram_pairing(gram, c0, c1)
+    scalar = LaurentPoly.monomial(parity_sign(dim), -1) * gram_pairing(gram, c0, c1)
     return c1 - c0.scale(scalar)
 
 

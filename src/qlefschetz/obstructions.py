@@ -21,7 +21,7 @@ from functools import partial
 from enum import Enum
 
 from .laurent import LaurentPoly
-from .lefschetz import LefschetzAlgebra
+from .lefschetz import LefschetzAlgebra, parity_sign
 from .matrix import FrozenRecord, KClass
 
 
@@ -66,7 +66,7 @@ def self_pairing(alg: LefschetzAlgebra, l: KClass) -> LaurentPoly:
 
 def spherical_value(dim: int) -> LaurentPoly:
     """The self-pairing 1 + (-1)^n q that any homology-sphere class takes."""
-    return LaurentPoly({0: 1, 1: -1 if dim % 2 else 1})
+    return LaurentPoly({0: 1, 1: parity_sign(dim)})
 
 
 def sphere_test(alg: LefschetzAlgebra) -> SphereTestResult:

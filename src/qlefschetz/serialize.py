@@ -25,7 +25,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
-from .laurent import LaurentPoly, _decimal
+from .laurent import MAX_SPAN, LaurentPoly, _decimal
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 
@@ -100,11 +100,20 @@ def kclass_from_obj(obj: Any, where: str = "class") -> KClass:
 def fibration_to_obj(
     alg: LefschetzAlgebra, labels: list[str] | None = None
 ) -> dict[str, Any]:
-    """Canonical file form; always records the intersection matrix."""
+    """Canonical file form (always B); an entry from_pairs would refuse is a ValueError."""
+    b, bound = alg.intersection, MAX_SPAN // 2
+    for k, p in enumerate(b.entries):
+        # p's exponents run from p._val to p._val + len(p._coeffs) - 1.
+        if p._val < -bound or p._val + len(p._coeffs) > bound + 1:
+            i, j = divmod(k, b.cols)
+            exp = p._val if p._val < -bound else p.degree()
+            raise ValueError(
+                f"fibration.B.entries[{i}][{j}]: exponent {exp} exceeds {bound} in absolute value"
+            )
     obj: dict[str, Any] = {
         "n": alg.dim,
         "m": alg.size,
-        "B": matrix_to_obj(alg.intersection),
+        "B": matrix_to_obj(b),
     }
     if labels is not None:
         obj["labels"] = list(labels)

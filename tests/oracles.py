@@ -2,8 +2,10 @@
 Independent oracles shared by the test suite.
 
 Everything here is deliberately written by a different route than the
-library: determinants by cofactor expansion, ranks by rational Gaussian
+library: products and quotients by schoolbook convolution and long
+division, determinants by cofactor expansion, ranks by rational Gaussian
 elimination after evaluating q, monodromy pairings by their closed formula,
+whole-matrix formulas for the intersection matrix and the classical shadow,
 and the published band-matrix formulas entered directly rather than built
 through the induction pipeline.
 """
@@ -14,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from qlefschetz.laurent import LaurentPoly, q
+from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
 
@@ -34,6 +36,35 @@ def rand_matrix(rng: random.Random, rows: int, cols: int) -> LaurentMatrix:
 
 def rand_kclass(rng: random.Random, m: int) -> KClass:
     return KClass([rand_poly(rng) for _ in range(m)])
+
+
+def schoolbook_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b by convolving the coefficient maps term by term."""
+    terms: dict[int, int] = {}
+    for e, x in a.items():
+        for f, y in b.items():
+            terms[e + f] = terms.get(e + f, 0) + x * y
+    return LaurentPoly(terms)
+
+
+def long_division(a: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """
+    a / d by long division from the top, subtracting multiples of d until
+    nothing is left; raises ExactDivisionError when a term does not divide
+    or a remainder stays.
+    """
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    quotient, rest = LaurentPoly.zero(), a
+    while not rest.is_zero() and rest.span() >= d.span():
+        c, r = divmod(rest[rest.degree()], d[d.degree()])
+        if r:
+            raise ExactDivisionError(f"{d} does not divide {a}")
+        term = LaurentPoly.monomial(c, rest.degree() - d.degree())
+        quotient, rest = quotient + term, rest - schoolbook_product(term, d)
+    if not rest.is_zero():
+        raise ExactDivisionError(f"{d} does not divide {a}")
+    return quotient
 
 
 def rational_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -140,6 +171,28 @@ def monodromy_pairing_matrix(alg: LefschetzAlgebra) -> LaurentMatrix:
     return product.scale(LaurentPoly.monomial(alg.parity_sign, -1))
 
 
+def full_regeneration(dim: int, seifert: LaurentMatrix) -> LaurentMatrix:
+    """The intersection matrix S - (-1)^n q S* by whole-matrix arithmetic."""
+    return seifert - seifert.star_transpose().scale(LaurentPoly.monomial(sign_of(dim), 1))
+
+
+def classical_charpoly_matrix(alg: LefschetzAlgebra) -> LaurentMatrix:
+    """S1 - (-1)^n q S1^T for S1 = S(1), entry by entry."""
+    s1 = alg.seifert.eval_at_one()
+    m, sq = alg.size, LaurentPoly.monomial(sign_of(alg.dim), 1)
+    return LaurentMatrix.from_rows(
+        [[LaurentPoly.coerce(s1[i][j]) - sq * s1[j][i] for j in range(m)] for i in range(m)]
+    )
+
+
+def classical_shadow(alg: LefschetzAlgebra) -> tuple[list[list[int]], ...]:
+    """S(1), B(1) and (-1)^n S(1)^-1 S(1)^T, each evaluated on its own."""
+    constant = LaurentMatrix.from_rows(alg.seifert.eval_at_one())
+    n1 = constant.unitriangular_inverse() @ constant.star_transpose()
+    monodromy1 = [[sign_of(alg.dim) * e for e in row] for row in n1.eval_at_one()]
+    return alg.seifert.eval_at_one(), alg.intersection.eval_at_one(), monodromy1
+
+
 def regenerated_intersection(dim: int, intersection: LaurentMatrix) -> LaurentMatrix:
     """
     The consistency check by full regeneration: rebuild S - (-1)^n q S*
@@ -154,8 +207,7 @@ def regenerated_intersection(dim: int, intersection: LaurentMatrix) -> LaurentMa
             for i in range(m)
         ]
     )
-    sign = -1 if dim % 2 else 1
-    expected = seifert - seifert.star_transpose().scale(LaurentPoly.monomial(sign, 1))
+    expected = full_regeneration(dim, seifert)
     for i in range(m):
         for j in range(m):
             if expected[i, j] != intersection[i, j]:

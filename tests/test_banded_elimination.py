@@ -6,8 +6,9 @@ denominator; it is next updated against a later pivot, or refreshed when it
 becomes the pivot row. Banded matrices of size 6 to 10, with rows permuted
 and some rows replaced by unit multiples of others, make both common. Each
 result is checked three ways: the echelon rows against plain Bareiss through
-the public ring operators, det and rank against rational elimination at
-sample points (tests/oracles.py), and each kernel vector by B @ v == 0.
+the schoolbook product and long division, det and rank against rational
+elimination at sample points (all in tests/oracles.py), and each kernel
+vector by B @ v == 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import qlefschetz.matrix as matrix_module
 from qlefschetz.laurent import LaurentPoly, gcd_many
 from qlefschetz.matrix import LaurentMatrix, _bareiss
 
-from oracles import evaluate_matrix, fraction_det, fraction_rank
+from oracles import (
+    evaluate_matrix,
+    fraction_det,
+    fraction_rank,
+    long_division,
+    schoolbook_product,
+)
 
 bounded = settings(deadline=None, max_examples=30)
 
@@ -71,7 +78,10 @@ def plain_bareiss(rows):
         for i in range(r + 1, nrows):
             head = work[i][c]
             for j in range(c, ncols):
-                work[i][j] = (work[i][j] * work[r][c] - head * work[r][j]).exact_div(prev)
+                cross = schoolbook_product(work[i][j], work[r][c]) - schoolbook_product(
+                    head, work[r][j]
+                )
+                work[i][j] = long_division(cross, prev)
         prev = work[r][c]
         pivot_cols.append(c)
         r += 1

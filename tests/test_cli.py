@@ -230,6 +230,25 @@ def test_move_rescale_and_shift_entries(tmp_path, capsys):
     assert report["fibration"]["B"]["entries"][0][1] == poly_to_obj(-(1 + q))
 
 
+def test_move_writes_only_files_it_can_read(tmp_path, capsys):
+    # Rescaling e_2 by q^a puts q^-(a+1) and q^(a+1) into B, and the loader
+    # takes exponents up to 32768 in absolute value.
+    path = write_xab(tmp_path)
+    moved = tmp_path / "moved.json"
+    argv = ["move", path, "rescale", "--k", 1, "--output", moved, "--amount"]
+    code, _ = run(capsys, argv + [32767])
+    assert code == 0
+    code, report = run_json(capsys, ["verify", moved])
+    assert code == 0 and report["consistent"] is True
+    moved.unlink()
+    code = main([str(a) for a in argv + [40000]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fibration.B.entries[0][1]: exponent -40000 exceeds 32768" in captured.err
+    assert not moved.exists()
+
+
 def test_move_bad_position(tmp_path, capsys):
     path = write_xab(tmp_path)
     assert main(["move", str(path), "hurwitz", "--k", "5"]) == 2
@@ -451,14 +470,23 @@ def test_twist_requires_exactly_one_target(tmp_path, capsys):
     )
 
 
-def test_twist_target_file_without_vector(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "target_obj, message",
+    [
+        ({}, "target.vector: missing"),
+        ({"vector": [[[0, 1.5]]]}, "target.vector[0]: coefficient 1.5 is not a decimal integer"),
+        ([[[0, 1.5]]], "target[0]: coefficient 1.5 is not a decimal integer"),
+    ],
+    ids=["without-vector", "bad-coefficient-in-vector", "bad-coefficient-in-array"],
+)
+def test_twist_target_file_names_the_bad_field(tmp_path, capsys, target_obj, message):
     path = write_xab(tmp_path)
     target = tmp_path / "target.json"
-    target.write_text("{}", encoding="utf-8")
+    target.write_text(json.dumps(target_obj), encoding="utf-8")
     code = main(["twist", str(path), "t1", "--target-file", str(target)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "target.vector" in err
+    assert f"bad input: {message}" in err
 
 
 DEEP = "[" * 100000 + "]" * 100000

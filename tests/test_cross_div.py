@@ -1,10 +1,12 @@
 """
-The fused elimination kernel _cross_div against the public ring operators.
+The ring's one kernel _cross_div, and the product and exact quotient that
+run through it, against the schoolbook oracles in tests/oracles.py.
 
-(a * p - h * b) / d must equal (a * p - h * b).exact_div(d) whenever the
-division is exact, and raise ExactDivisionError whenever it is not. Half of
-the cases scale a and b by d so that the division is exact; the other half
-use an arbitrary d, which mostly does not divide.
+(a * p - h * b) / d must equal the long division of the schoolbook cross
+product by d whenever that division is exact, and raise ExactDivisionError
+whenever it is not; a * p and a.exact_div(d) must do the same. Half of the
+cases scale a and b by d so that the division is exact; the other half use
+an arbitrary d, which mostly does not divide.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, _cross_div, q
+
+from oracles import long_division, schoolbook_product
 
 bounded = settings(deadline=None, max_examples=100)
 
@@ -28,18 +32,26 @@ polys = st.one_of(
 nonzero = polys.filter(bool)
 
 
-@bounded
-@given(polys, polys, polys, polys, nonzero, st.booleans())
-def test_cross_div_matches_the_ring_operators(a, p, h, b, d, exact):
-    if exact:
-        a, b = a * d, b * d
+def agrees(run, reference):
+    """run() returns what reference() returns, or raises as it does."""
     try:
-        expected = (a * p - h * b).exact_div(d)
+        expected = reference()
     except ExactDivisionError:
         with pytest.raises(ExactDivisionError):
-            _cross_div(a, p, h, b, d)
+            run()
     else:
-        assert _cross_div(a, p, h, b, d) == expected
+        assert run() == expected
+
+
+@bounded
+@given(polys, polys, polys, polys, nonzero, st.booleans())
+def test_cross_div_mul_and_exact_div_match_the_oracles(a, p, h, b, d, exact):
+    if exact:
+        a, b = schoolbook_product(a, d), schoolbook_product(b, d)
+    cross = schoolbook_product(a, p) - schoolbook_product(h, b)
+    agrees(lambda: _cross_div(a, p, h, b, d), lambda: long_division(cross, d))
+    assert a * p == schoolbook_product(a, p)
+    agrees(lambda: a.exact_div(d), lambda: long_division(a, d))
 
 
 def test_cross_div_edge_cases():
