@@ -25,6 +25,7 @@ from .lefschetz import ConsistencyError, LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 from .serialize import (
     FileFormatError,
+    Rendered,
     class_specs_from_obj,
     classes_to_obj,
     dumps_canonical,
@@ -191,16 +192,21 @@ def _emit(
 ) -> int:
     """
     Print the report, or the table lines (built only then); write --output,
-    the artifact or else the report, which is rendered once for both.
+    the artifact or else the report. Each is rendered once: a written
+    artifact goes into the report as its Rendered text.
     """
+    output = getattr(args, "output", None)
+    rendered = None
+    if output is not None and artifact is not None:
+        rendered = Rendered(dumps_canonical(artifact)[:-1])
+        report = {k: rendered if v is artifact else v for k, v in report.items()}
     text = dumps_canonical(report) if getattr(args, "format", "json") == "json" else None
     sys.stdout.write(text if text is not None else "\n".join(table_lines()) + "\n")
-    output = getattr(args, "output", None)
     if output is not None:
-        if text is None or artifact is not None:
-            text = dumps_canonical(report if artifact is None else artifact)
+        if rendered is not None:
+            text = rendered + "\n"
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(text if text is not None else dumps_canonical(report))
     return 0
 
 

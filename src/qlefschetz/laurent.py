@@ -87,7 +87,7 @@ class LaurentPoly:
     def coerce(value: IntoPoly) -> LaurentPoly:
         if isinstance(value, LaurentPoly):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return _poly(0, (value,))
         raise TypeError(f"cannot interpret {value!r} as a Laurent polynomial")
 
@@ -382,6 +382,10 @@ def _cross_div(
     exact quotient a / d (p = 1, h = b = 0). Raises ExactDivisionError when
     d does not divide the cross product.
 
+    A product a * p / q^j with a monomial factor c q^k is the other factor,
+    scaled by c unless c = 1 and shifted by k - j; it needs no buffer and no
+    trimming, since a product of canonical factors is canonical.
+
     >>> one = LaurentPoly.one()
     >>> _cross_div(q, q, one, one, q - 1)      # (q^2 - 1) / (q - 1)
     LaurentPoly('1 + q')
@@ -398,6 +402,12 @@ def _cross_div(
         ac = pc = ()
     if not (hc and bc):
         hc = bc = ()
+    if not hc and den == (1,) and (len(ac) == 1 or len(pc) == 1):
+        c, rest = (ac[0], pc) if len(ac) == 1 else (pc[0], ac)
+        r = LaurentPoly.__new__(LaurentPoly)
+        r._val = a._val + p._val - d._val
+        r._coeffs = rest if c == 1 else tuple([c * x for x in rest])
+        return r
     # The buffer spans the exponent windows of both nonzero products.
     lo_ap, lo_hb = a._val + p._val, h._val + b._val
     if not ac:

@@ -1,16 +1,17 @@
 """
 Exact linear algebra over Z[q, q^-1].
 
-Matrices are dense and immutable. Determinants, ranks and nullspaces are
-computed by fraction-free elimination in the Bareiss style, and kernel
-vectors by fraction-free back-substitution: every intermediate entry is a
-minor of the input and every division is exact. Each update is one call
-of the ring's one kernel laurent._cross_div; elimination skips updates
-that cannot change a value and keeps a denominator per row, so rows with
-a zero head are never rescaled (see _bareiss). Nullspace vectors are
-returned as primitive K-theory classes: the gcd of the entries divided out
-(laurent_gcd, a primitive remainder sequence over Z) and the unit
-ambiguity (+-q^k) fixed canonically.
+Matrices are dense and immutable; a product walks only the nonzero entries
+of each factor, row by row. Determinants, ranks and nullspaces are computed
+by fraction-free elimination in the Bareiss style, and kernel vectors by
+fraction-free back-substitution: every intermediate entry is a minor of the
+input and every division is exact. Each update is one call of the ring's one
+kernel laurent._cross_div; elimination skips updates that cannot change a
+value and keeps a denominator per row, so rows with a zero head are never
+rescaled (see _bareiss). Nullspace vectors are returned as primitive
+K-theory classes: the gcd of the entries divided out (laurent_gcd, a
+primitive remainder sequence over Z) and the unit ambiguity (+-q^k) fixed
+canonically.
 """
 
 from __future__ import annotations
@@ -227,20 +228,32 @@ class LaurentMatrix(FrozenRecord):
         return LaurentMatrix(self.rows, self.cols, tuple(f * a for a in self.entries))
 
     def __matmul__(self, other: LaurentMatrix | KClass):
+        """
+        With a matrix, in row order over nonzeros (Gustavson 1978): row i is
+        the sum of x * other.row(l) over the nonzero x = self[i, l], each row
+        of other reduced once to its nonzero (j, y).
+        """
         if isinstance(other, KClass):
             if self.cols != len(other):
                 raise ValueError(f"cannot apply {self.rows}x{self.cols} to length {len(other)}")
             return KClass(_dot(self.row(i), other.coords) for i in range(self.rows))
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
-        return LaurentMatrix(
-            self.rows,
-            other.cols,
-            tuple(_dot(self.row(i), col) for i in range(self.rows) for col in columns),
-        )
+        n = other.cols
+        nonzeros = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(other.rows)]
+        entries: list[LaurentPoly] = []
+        for i in range(self.rows):
+            acc = [LaurentPoly.zero()] * n
+            for x, row in zip(self.row(i), nonzeros):
+                if x:
+                    for j, y in row:
+                        acc[j] = acc[j] + x * y
+            entries += acc
+        return LaurentMatrix(self.rows, n, tuple(entries))
 
     def star_transpose(self) -> LaurentMatrix:
         """Transpose combined with q -> q^-1 on every entry."""

@@ -242,11 +242,21 @@ def dumps_canonical(obj: Any) -> str:
     return _render(obj, "\n") + "\n"
 
 
+class Rendered(str):
+    """
+    A value already rendered, dumps_canonical's text minus its final newline,
+    to embed at any depth: _render breaks lines only as nl + indent and _quote
+    escapes every newline in a string, so re-indenting the text is exact.
+    """
+
+
 def _render(obj: Any, nl: str) -> str:
     """One JSON value whose first line is already indented; nl ends a line."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
+    if kind is Rendered:
+        return obj.replace("\n", nl)
     if kind is int:
         return _decimal(obj)
     if kind is list:

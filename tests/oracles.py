@@ -3,11 +3,12 @@ Independent oracles shared by the test suite.
 
 Everything here is deliberately written by a different route than the
 library: products and quotients by schoolbook convolution and long
-division, determinants by cofactor expansion, ranks by rational Gaussian
-elimination after evaluating q, monodromy pairings by their closed formula,
-whole-matrix formulas for the intersection matrix and the classical shadow,
-and the published band-matrix formulas entered directly rather than built
-through the induction pipeline.
+division, matrix products column by column, determinants by cofactor
+expansion, ranks by rational Gaussian elimination after evaluating q,
+monodromy pairings by their closed formula, whole-matrix formulas for the
+intersection matrix and the classical shadow, and the published
+band-matrix formulas entered directly rather than built through the
+induction pipeline.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ def schoolbook_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         for f, y in b.items():
             terms[e + f] = terms.get(e + f, 0) + x * y
     return LaurentPoly(terms)
+
+
+def column_dot_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """
+    a @ b entry by entry: the dot product of row i of a with column j of b,
+    over all a.cols index pairs, each product by schoolbook convolution.
+    """
+    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
+    entries = []
+    for i in range(a.rows):
+        for col in columns:
+            acc = LaurentPoly.zero()
+            for x, y in zip(a.row(i), col):
+                acc = acc + schoolbook_product(x, y)
+            entries.append(acc)
+    return LaurentMatrix(a.rows, b.cols, tuple(entries))
 
 
 def long_division(a: LaurentPoly, d: LaurentPoly) -> LaurentPoly:

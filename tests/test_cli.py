@@ -13,7 +13,7 @@ from qlefschetz.cli import main
 from qlefschetz.laurent import MAX_DIGITS, LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import LaurentMatrix
-from qlefschetz.serialize import dumps_canonical, fibration_to_obj, poly_to_obj
+from qlefschetz.serialize import Rendered, dumps_canonical, fibration_to_obj, poly_to_obj
 
 from oracles import CLASSICAL_23_INTERSECTION, CLASSICAL_23_SEIFERT
 
@@ -420,6 +420,33 @@ def test_catalog_output_is_the_json_report_rendered_once(tmp_path, capsys, monke
     assert code == 0
     assert out.read_text(encoding="utf-8") == stdout
     assert len(renders) == 1
+
+
+@pytest.mark.parametrize("command", ["move", "double-cover", "milnor"])
+def test_output_artifact_is_rendered_once(tmp_path, capsys, monkeypatch, command):
+    """With --output the artifact is rendered once, written to the file and
+    embedded in the report as that text; stdout is unchanged by --output."""
+    path = write_xab(tmp_path, 3, 5, 3)
+    argv = {
+        "move": ["move", path, "hurwitz", "--k", 2],
+        "double-cover": ["compute", "double-cover", path],
+        "milnor": ["catalog", "milnor", "--r", 4, "--n", 4],
+    }[command]
+    _, plain = run(capsys, argv)
+    renders = []
+
+    def counting(obj):
+        renders.append(obj)
+        return dumps_canonical(obj)
+
+    monkeypatch.setattr(cli, "dumps_canonical", counting)
+    out = tmp_path / "out.json"
+    code, stdout = run(capsys, argv + ["--output", out])
+    assert code == 0
+    assert stdout == plain
+    assert out.read_text(encoding="utf-8") == dumps_canonical(json.loads(stdout)["fibration"])
+    assert len(renders) == 2
+    assert isinstance(renders[1]["fibration"], Rendered)
 
 
 def test_catalog_mirror_p2(tmp_path, capsys):

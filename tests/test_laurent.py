@@ -184,6 +184,13 @@ def test_operator_protocol_defers_to_other_operands():
     assert (1 + q).__add__("nope") is NotImplemented
 
 
+def test_coerce_rejects_bools():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            LaurentPoly.coerce(value)
+    assert LaurentPoly.coerce(1) == 1
+
+
 def test_int_comparison_and_hash():
     assert LaurentPoly({0: 5}) == 5
     assert hash(LaurentPoly({0: 5})) == hash(5)

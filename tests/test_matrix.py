@@ -13,6 +13,7 @@ from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
 from oracles import (
     CLASSICAL_23_INTERSECTION,
     cofactor_det,
+    column_dot_matmul,
     evaluate_matrix,
     fraction_det,
     fraction_rank,
@@ -41,6 +42,46 @@ def test_mat_mul_kills_kernel_vector_of_classical_band():
 def test_mat_mul_shape_mismatch():
     with pytest.raises(ValueError):
         rand_matrix(random.Random(0), 2, 3) @ rand_matrix(random.Random(1), 2, 2)
+
+
+def test_mat_mul_by_a_non_matrix_is_a_type_error():
+    m = LaurentMatrix.identity(1)
+    for other in (3, q, [[1]]):
+        with pytest.raises(TypeError):
+            m @ other
+
+
+def test_mat_mul_multiplies_each_pair_of_nonzero_factors_once(monkeypatch):
+    """One LaurentPoly product per (A[i, l], B[l, j]) with both nonzero: the
+    count the benchmark's laurent.mul.calls reads."""
+    rng = random.Random(5)
+    a, b = rand_matrix(rng, 4, 5), rand_matrix(rng, 5, 3)
+    expected = sum(
+        1 for i in range(4) for l in range(5) for j in range(3) if a[i, l] and b[l, j]
+    )
+    assert 0 < expected < 4 * 5 * 3
+    calls = []
+    original = LaurentPoly.__mul__
+
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    product = a @ b
+    monkeypatch.undo()
+    assert len(calls) == expected
+    assert all(x and y for x, y in calls)
+    assert product == column_dot_matmul(a, b)
+
+
+def test_bools_are_not_coerced_into_entries():
+    with pytest.raises(TypeError):
+        LaurentMatrix.from_rows([[True, False]])
+    with pytest.raises(TypeError):
+        KClass([True])
+    with pytest.raises(TypeError):
+        LaurentMatrix.identity(2).scale(True)
 
 
 def test_star_transpose():

@@ -3,7 +3,9 @@ Property tests of the matrix layer against sympy as an independent route.
 
 Matrices are square, up to 4 x 4, with entries of span at most 3 that
 include negative exponents and zero; some rows are unit multiples of
-others, so rank-deficient matrices and wide kernels are common.
+others, so rank-deficient matrices and wide kernels are common. Products
+are also checked on sparse factors of any shape up to 5 x 5, empty ones
+included, against the column-by-column oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from qlefschetz.laurent import LaurentPoly, gcd_many
 from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
+
+from oracles import column_dot_matmul
 
 Q = sympy.Symbol("q")
 
@@ -115,6 +119,61 @@ def test_matmul_matches_sympy(args):
     a, b, v = args
     assert domain_matrix(a @ b) == domain_matrix(a) * domain_matrix(b)
     assert column(a @ v) == domain_matrix(a) * column(v)
+
+
+# Mostly zero, else a monomial c q^k (often +-1) or a short polynomial.
+sparse_entries = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.just(LaurentPoly.zero()),
+    st.builds(
+        LaurentPoly.monomial, st.sampled_from([1, -1]) | st.integers(-3, 3), st.integers(-2, 2)
+    ),
+    entries,
+)
+
+
+@st.composite
+def sparse_factors(draw, rows, cols):
+    """
+    A rows x cols matrix: sparse, or the identity with a Hurwitz-like 2x2
+    block or a diagonal of monomials where square; then perhaps a zero row
+    and a zero column.
+    """
+    kind = draw(st.sampled_from(["sparse", "transition", "diagonal"]))
+    if rows != cols or rows < 2 or kind == "sparse":
+        grid = [[draw(sparse_entries) for _ in range(cols)] for _ in range(rows)]
+    else:
+        grid = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(cols)]
+                for i in range(rows)]
+        if kind == "transition":
+            k = draw(st.integers(0, rows - 2))
+            grid[k][k], grid[k][k + 1] = draw(entries), LaurentPoly.one()
+            grid[k + 1][k], grid[k + 1][k + 1] = LaurentPoly.one(), draw(entries)
+        else:
+            for i in range(rows):
+                grid[i][i] = draw(sparse_entries.filter(bool))
+    if rows and draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [LaurentPoly.zero()] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = LaurentPoly.zero()
+    return LaurentMatrix(rows, cols, tuple(x for row in grid for x in row))
+
+
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+
+@bounded
+@given(shapes.flatmap(
+    lambda s: st.tuples(sparse_factors(s[0], s[1]), sparse_factors(s[1], s[2]))
+))
+def test_sparse_matmul_matches_the_column_oracle_and_sympy(args):
+    a, b = args
+    product = a @ b
+    assert product == column_dot_matmul(a, b)
+    if a.rows and a.cols and b.cols:
+        assert domain_matrix(product) == domain_matrix(a) * domain_matrix(b)
 
 
 @bounded

@@ -2,7 +2,9 @@
 The canonical writer renders exactly json.dumps(obj, indent=2,
 sort_keys=True) + "\\n": on arbitrary JSON values and on the files and move
 reports of random fibrations. Integers beyond the interpreter's int/str
-digit limit, which json.dumps refuses, are written in full.
+digit limit, which json.dumps refuses, are written in full. A value already
+rendered and embedded as Rendered text gives the bytes of rendering it in
+place, at any depth.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from qlefschetz.laurent import LaurentPoly
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import LaurentMatrix
 from qlefschetz.moves import hurwitz_inverse_move, hurwitz_move
-from qlefschetz.serialize import dumps_canonical, fibration_to_obj, matrix_to_obj
+from qlefschetz.serialize import Rendered, dumps_canonical, fibration_to_obj, matrix_to_obj
 
 bounded = settings(deadline=None, max_examples=200)
 
@@ -45,6 +47,33 @@ def reference(obj) -> str:
 @given(json_values)
 def test_writer_matches_json_dumps(obj):
     assert dumps_canonical(obj) == reference(obj)
+
+
+@st.composite
+def embeddings(draw):
+    """A JSON value v nested at random depth among siblings, once as it is
+    and once as Rendered(dumps_canonical(v)[:-1])."""
+    v = draw(json_values)
+    plain, embedded = v, Rendered(dumps_canonical(v)[:-1])
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            siblings = draw(st.lists(json_values, max_size=2))
+            at = draw(st.integers(0, len(siblings)))
+            plain = siblings[:at] + [plain] + siblings[at:]
+            embedded = siblings[:at] + [embedded] + siblings[at:]
+        else:
+            key = draw(strings)
+            siblings = draw(st.dictionaries(strings, json_values, max_size=2))
+            siblings.pop(key, None)
+            plain, embedded = {**siblings, key: plain}, {**siblings, key: embedded}
+    return plain, embedded
+
+
+@settings(deadline=None, max_examples=100)
+@given(embeddings())
+def test_an_embedded_rendering_gives_the_same_bytes(pair):
+    plain, embedded = pair
+    assert dumps_canonical(embedded) == dumps_canonical(plain)
 
 
 def test_writer_matches_json_dumps_on_edge_values():
