@@ -20,7 +20,6 @@ import json
 import sys
 from typing import Any, Callable, Sequence
 
-from .laurent import _decimal
 from .lefschetz import ConsistencyError, LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 from .serialize import (
@@ -217,12 +216,7 @@ def _matrix_lines(title: str, m: LaurentMatrix) -> list[str]:
 def _int_matrix_lines(title: str, rows: list[list[int]]) -> list[str]:
     if not rows:
         return [f"{title}: (empty)"]
-    cells = [[_decimal(x) for x in row] for row in rows]
-    widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
-    return [f"{title}:"] + [
-        "  [ " + "  ".join(x.rjust(w) for x, w in zip(row, widths)) + " ]"
-        for row in cells
-    ]
+    return _matrix_lines(title, LaurentMatrix.from_rows(rows))
 
 
 # -- commands ------------------------------------------------------------

@@ -318,13 +318,7 @@ class LaurentPoly:
         parts: list[str] = []
         for e, c in self.items():
             power = "" if e == 0 else "q" if e == 1 else f"q^{e}"
-            if power and abs(c) == 1:
-                body = power
-            else:
-                try:
-                    body = f"{abs(c)}{power}"
-                except ValueError:  # beyond the int/str digit limit
-                    body = _decimal(abs(c)) + power
+            body = power if power and abs(c) == 1 else _decimal(abs(c)) + power
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:

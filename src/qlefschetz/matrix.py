@@ -99,11 +99,15 @@ class KClass(FrozenRecord):
         return self.coords[i]
 
     def __add__(self, other: KClass) -> KClass:
+        if not isinstance(other, KClass):
+            return NotImplemented
         if len(self) != len(other):
             raise ValueError("cannot add classes of different lengths")
         return KClass(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other: KClass) -> KClass:
+        if not isinstance(other, KClass):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> KClass:
@@ -212,12 +216,16 @@ class LaurentMatrix(FrozenRecord):
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: LaurentMatrix) -> LaurentMatrix:
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._require_same_shape(other)
         return LaurentMatrix(
             self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._require_same_shape(other)
         return LaurentMatrix(
             self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))

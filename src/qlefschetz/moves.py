@@ -3,16 +3,18 @@ Basis changes and group actions on a fibration datum.
 
 Two kinds of operation live here and are deliberately kept apart:
 
-  * moves acting on the algebra itself (its distinguished basis): the
-    elementary Hurwitz move and its inverse, which conjugate the Seifert
-    matrix by an explicit transition matrix C as C* S C, and the diagonal
+  * moves acting on the algebra itself (its distinguished basis). Each is
+    one conjugation S -> C* S C by an elementary matrix C, the identity
+    but for one block at (k, k) (_conjugate): a 2x2 block for the Hurwitz
+    move and its inverse, which generate the braid group's action on
+    distinguished bases, and a 1x1 block q^shift or -1 for the diagonal
     moves that rescale an object's equivariant weight or flip its grading;
 
   * Dehn twists acting on K-theory classes while the algebra stays fixed:
     the reflection-like map c1 -> c1 - <c0, c1> c0 for a twist along c0,
     its inverse, and words in such twists.
 
-Hurwitz moves return the transition matrix alongside the new algebra so
+Hurwitz moves return the transition matrix C alongside the new algebra so
 that callers can transport classes between the two bases.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra, parity_sign
-from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
+from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
 
 class TwistWord(FrozenRecord):
@@ -83,10 +85,12 @@ def hurwitz_move(alg: LefschetzAlgebra, k: int) -> tuple[LefschetzAlgebra, Laure
     The elementary Hurwitz move at position k (0-based, 0 <= k <= m-2): the
     k-th cycle becomes the twist of its successor along it, the successor
     becomes the old k-th cycle. Returns the new algebra and the transition
-    matrix C with new Seifert = C* S C.
+    matrix C with new Seifert = C* S C; its block at (k, k) is
+    [[-beta, 1], [1, 0]] with beta = S[k, k+1].
     """
-    c = _transition(alg, k, inverse=False)
-    return _conjugate(alg, c), c
+    _checked_position(alg, k)
+    beta = alg.seifert[k, k + 1]
+    return _conjugate(alg, k, [[-beta, 1], [1, 0]])
 
 
 def hurwitz_inverse_move(
@@ -96,10 +100,12 @@ def hurwitz_inverse_move(
     The inverse of hurwitz_move at the same position: applying one after
     the other, in either order, restores the original algebra. Its
     transition matrix is the inverse of the forward one computed in the
-    algebra the forward move would have come from.
+    algebra the forward move would have come from; its block at (k, k) is
+    [[0, 1], [1, -star(beta)]] with beta = S[k, k+1].
     """
-    c = _transition(alg, k, inverse=True)
-    return _conjugate(alg, c), c
+    _checked_position(alg, k)
+    beta = alg.seifert[k, k + 1]
+    return _conjugate(alg, k, [[0, 1], [1, -beta.star()]])
 
 
 def rescale_object(alg: LefschetzAlgebra, k: int, shift: int) -> LefschetzAlgebra:
@@ -110,10 +116,7 @@ def rescale_object(alg: LefschetzAlgebra, k: int, shift: int) -> LefschetzAlgebr
     star-transpose on the left.
     """
     _checked_index(alg, k)
-    d = LaurentMatrix.diagonal(
-        [LaurentPoly.monomial(1, shift) if i == k else 1 for i in range(alg.size)]
-    )
-    return _conjugate(alg, d)
+    return _conjugate(alg, k, [[LaurentPoly.monomial(1, shift)]])[0]
 
 
 def shift_object(alg: LefschetzAlgebra, k: int) -> LefschetzAlgebra:
@@ -122,32 +125,27 @@ def shift_object(alg: LefschetzAlgebra, k: int) -> LefschetzAlgebra:
     flips sign, its self-pairing is untouched. An involution.
     """
     _checked_index(alg, k)
-    s = LaurentMatrix.diagonal([-1 if i == k else 1 for i in range(alg.size)])
-    return _conjugate(alg, s)
+    return _conjugate(alg, k, [[-1]])[0]
 
 
-def _transition(alg: LefschetzAlgebra, k: int, inverse: bool) -> LaurentMatrix:
-    """The transition matrix of the Hurwitz move at k, or of its inverse."""
-    m = _checked_position(alg, k)
-    beta = alg.seifert[k, k + 1]
-    rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    rows[k][k] = 0 if inverse else -beta
-    rows[k][k + 1] = 1
-    rows[k + 1][k] = 1
-    rows[k + 1][k + 1] = -beta.star() if inverse else 0
-    return LaurentMatrix.from_rows(rows)
-
-
-def _conjugate(alg: LefschetzAlgebra, c: LaurentMatrix) -> LefschetzAlgebra:
-    moved = c.star_transpose() @ alg.seifert @ c
-    return LefschetzAlgebra.from_seifert(alg.dim, moved)
-
-
-def _checked_position(alg: LefschetzAlgebra, k: int) -> int:
+def _conjugate(
+    alg: LefschetzAlgebra, k: int, block: list[list[EntryLike]]
+) -> tuple[LefschetzAlgebra, LaurentMatrix]:
+    """
+    The basis move by the elementary matrix C, the identity with `block`
+    written at (k, k): returns the algebra of Seifert matrix C* S C, and C.
+    """
     m = alg.size
-    if not 0 <= k <= m - 2:
-        raise IndexError(f"move position {k} out of range for {m} cycles")
-    return m
+    rows: list[list[EntryLike]] = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for i, row in enumerate(block):
+        rows[k + i][k : k + len(row)] = row
+    c = LaurentMatrix.from_rows(rows)
+    return LefschetzAlgebra.from_seifert(alg.dim, c.star_transpose() @ alg.seifert @ c), c
+
+
+def _checked_position(alg: LefschetzAlgebra, k: int) -> None:
+    if not 0 <= k <= alg.size - 2:
+        raise IndexError(f"move position {k} out of range for {alg.size} cycles")
 
 
 def _checked_index(alg: LefschetzAlgebra, k: int) -> None:

@@ -51,6 +51,33 @@ def test_mat_mul_by_a_non_matrix_is_a_type_error():
             m @ other
 
 
+def test_sum_and_difference_with_a_foreign_operand_are_type_errors():
+    m = LaurentMatrix.identity(2)
+    v = KClass([1])
+    for other in (3, q, [[1]]):
+        with pytest.raises(TypeError):
+            m + other
+        with pytest.raises(TypeError):
+            m - other
+        with pytest.raises(TypeError):
+            v + other
+        with pytest.raises(TypeError):
+            v - other
+    assert LaurentMatrix.__add__(m, 3) is NotImplemented
+    assert LaurentMatrix.__sub__(m, [[1]]) is NotImplemented
+    assert KClass.__add__(v, 3) is NotImplemented
+    assert KClass.__sub__(v, q) is NotImplemented
+    # The shape and length checks still speak for operands of the right kind.
+    with pytest.raises(ValueError, match="shapes differ"):
+        m + LaurentMatrix.identity(3)
+    with pytest.raises(ValueError, match="shapes differ"):
+        m - LaurentMatrix.identity(1)
+    with pytest.raises(ValueError, match="different lengths"):
+        v + KClass([1, 2])
+    with pytest.raises(ValueError, match="different lengths"):
+        v - KClass([1, 2])
+
+
 def test_mat_mul_multiplies_each_pair_of_nonzero_factors_once(monkeypatch):
     """One LaurentPoly product per (A[i, l], B[l, j]) with both nonzero: the
     count the benchmark's laurent.mul.calls reads."""

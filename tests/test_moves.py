@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qlefschetz.catalog import mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
@@ -149,6 +152,73 @@ def test_shift_entries_and_involution():
     assert flipped.intersection.det() == b.det()
     e0 = KClass.basis_vector(5, 0)
     assert flipped.pairing(e0, e0) == alg.pairing(e0, e0)
+
+
+# -- the braid group ------------------------------------------------------------
+#
+# hurwitz_move at k is the braid generator sigma_k acting on distinguished
+# bases, hurwitz_inverse_move its inverse. Both the datum and the product of
+# the transition matrices (first move leftmost) must obey the braid
+# relations, and the full twist (sigma_0 ... sigma_{m-2})^m must give the
+# datum back with total transition S^-1 S* = (-1)^n q^-1 N, N the monodromy.
+
+braid_entries = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda val, coeffs: LaurentPoly((val + i, c) for i, c in enumerate(coeffs)),
+        st.integers(-2, 1),
+        st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+    ),
+)
+
+
+@st.composite
+def unitriangular_algebras(draw, min_size):
+    m = draw(st.integers(min_size, 6))
+    dim = draw(st.sampled_from([3, 4]))
+    rows = [
+        [1 if i == j else draw(braid_entries) if i < j else 0 for j in range(m)]
+        for i in range(m)
+    ]
+    return LefschetzAlgebra.from_seifert(dim, LaurentMatrix.from_rows(rows))
+
+
+def run_moves(alg: LefschetzAlgebra, move, positions) -> tuple[LefschetzAlgebra, LaurentMatrix]:
+    """The datum after the moves at `positions`, in order, and their transitions' product."""
+    total = LaurentMatrix.identity(alg.size)
+    for k in positions:
+        alg, c = move(alg, k)
+        total = total @ c
+    return alg, total
+
+
+@settings(deadline=None, max_examples=60)
+@given(unitriangular_algebras(3))
+@example(xab(2, 5, 3))
+@example(mirror_p2(4))
+def test_hurwitz_moves_satisfy_the_braid_relations(alg):
+    m = alg.size
+    for move in (hurwitz_move, hurwitz_inverse_move):
+        for k in range(m - 2):
+            assert run_moves(alg, move, [k, k + 1, k]) == run_moves(alg, move, [k + 1, k, k + 1])
+        for i in range(m - 1):
+            for j in range(i + 2, m - 1):
+                assert run_moves(alg, move, [i, j]) == run_moves(alg, move, [j, i])
+
+
+@settings(deadline=None, max_examples=60)
+@given(unitriangular_algebras(2))
+@example(xab(2, 5, 3))
+@example(mirror_p2(4))
+def test_full_twist_returns_the_datum_with_the_monodromy_as_transition(alg):
+    m = alg.size
+    twisted, total = run_moves(alg, hurwitz_move, list(range(m - 1)) * m)
+    assert twisted == alg
+    assert total == alg.monodromy().scale(LaurentPoly.monomial(alg.parity_sign, -1))
+    # The inverse full twist, (sigma_{m-2}^-1 ... sigma_0^-1)^m, undoes it.
+    untwisted, total_inv = run_moves(alg, hurwitz_inverse_move, list(range(m - 2, -1, -1)) * m)
+    assert untwisted == alg
+    assert total @ total_inv == LaurentMatrix.identity(m)
 
 
 def spherical_pair(rng: random.Random, dim: int) -> tuple[LefschetzAlgebra, KClass]:
