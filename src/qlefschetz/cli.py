@@ -71,41 +71,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, default=None, help="override the file's n")
-        p.add_argument(
-            "--format", choices=("json", "table"), default="json", help="report style"
-        )
+    def leaf(group: Any, name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        """A subcommand: every one takes --format and --output."""
+        p = group.add_parser(name, help=help)
+        p.add_argument("--format", choices=("json", "table"), default="json", help="report style")
         p.add_argument("--output", default=None, help="also write the result file here")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("verify", help="load a fibration file and validate it")
+    def reader(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        """A subcommand on a fibration file, whose n --n overrides."""
+        p = leaf(sub, name, handler, help)
+        p.add_argument("--n", type=int, default=None, help="override the file's n")
+        return p
+
+    p = reader("verify", _cmd_verify, "load a fibration file and validate it")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("compute", help="derive an invariant from a fibration file")
+    p = reader("compute", _cmd_compute, "derive an invariant from a fibration file")
     p.add_argument(
         "what",
         choices=("det", "nullspace", "monodromy", "givental", "classical", "double-cover"),
     )
     p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=_cmd_compute)
 
-    p = sub.add_parser("obstruct", help="run the Lagrangian sphere obstruction report")
+    p = reader("obstruct", _cmd_obstruct, "run the Lagrangian sphere obstruction report")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=_cmd_obstruct)
 
-    p = sub.add_parser("move", help="apply a basis move and write the moved file")
+    p = reader("move", _cmd_move, "apply a basis move and write the moved file")
     p.add_argument("file")
     p.add_argument("kind", choices=("hurwitz", "hurwitz-inverse", "rescale", "shift"))
     p.add_argument("--k", type=int, required=True, help="1-based position or object")
     p.add_argument("--amount", type=int, default=1, help="weight shift for rescale")
-    common(p)
-    p.set_defaults(handler=_cmd_move)
 
-    p = sub.add_parser("twist", help="apply a Dehn twist word to a K-theory class")
+    p = reader("twist", _cmd_twist, "apply a Dehn twist word to a K-theory class")
     p.add_argument("file")
     p.add_argument("word", help='e.g. "t2 t1^-1 t4", rightmost letter first, 1-based')
     p.add_argument("--target-index", type=int, default=None, help="1-based basis class")
@@ -115,41 +114,27 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="classes file whose generators the twist letters refer to",
     )
-    common(p)
-    p.set_defaults(handler=_cmd_twist)
 
     p = sub.add_parser("catalog", help="emit a fibration file from the built-in families")
     cat = p.add_subparsers(dest="family", required=True)
 
-    c = cat.add_parser("milnor", help="type-A sphere chain data")
+    c = leaf(cat, "milnor", _cmd_catalog_milnor, "type-A sphere chain data")
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--format", choices=("json", "table"), default="json")
-    c.add_argument("--output", default=None)
     c.add_argument("--classes-output", default=None, help="write the sphere classes here")
-    c.set_defaults(handler=_cmd_catalog_milnor)
 
-    c = cat.add_parser("xab", help="cyclic band family for coprime 0 < a < b")
+    c = leaf(cat, "xab", _cmd_catalog_xab, "cyclic band family for coprime 0 < a < b")
     c.add_argument("--a", type=int, required=True)
     c.add_argument("--b", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--format", choices=("json", "table"), default="json")
-    c.add_argument("--output", default=None)
-    c.set_defaults(handler=_cmd_catalog_xab)
 
-    c = cat.add_parser("mirror-p2", help="the mirror of the projective plane")
+    c = leaf(cat, "mirror-p2", _cmd_catalog_mirror, "the mirror of the projective plane")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--format", choices=("json", "table"), default="json")
-    c.add_argument("--output", default=None)
-    c.set_defaults(handler=_cmd_catalog_mirror)
 
-    c = cat.add_parser("induce", help="induce a total space from fibre classes")
+    c = leaf(cat, "induce", _cmd_catalog_induce, "induce a total space from fibre classes")
     c.add_argument("--fibre", required=True, help="fibration file of the fibre")
     c.add_argument("--classes", required=True, help="classes file for the new cycles")
     c.add_argument("--n", type=int, required=True, help="dimension of the new total space")
-    c.add_argument("--format", choices=("json", "table"), default="json")
-    c.add_argument("--output", default=None)
-    c.set_defaults(handler=_cmd_catalog_induce)
 
     return parser
 
@@ -190,22 +175,20 @@ def _emit(
     artifact: dict[str, Any] | None = None,
 ) -> int:
     """
-    Print the report, or the table lines (built only then); write --output,
-    the artifact or else the report. Each is rendered once: a written
-    artifact goes into the report as its Rendered text.
+    Write --output, the artifact or else the report, then print the report,
+    or the table lines (built only then); a file that cannot be written
+    leaves stdout empty. Each is rendered once: a written artifact goes into
+    the report as its Rendered text.
     """
-    output = getattr(args, "output", None)
     rendered = None
-    if output is not None and artifact is not None:
+    if args.output is not None and artifact is not None:
         rendered = Rendered(dumps_canonical(artifact)[:-1])
         report = {k: rendered if v is artifact else v for k, v in report.items()}
-    text = dumps_canonical(report) if getattr(args, "format", "json") == "json" else None
+    text = dumps_canonical(report) if args.format == "json" else None
+    if args.output is not None:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered + "\n" if rendered is not None else text or dumps_canonical(report))
     sys.stdout.write(text if text is not None else "\n".join(table_lines()) + "\n")
-    if output is not None:
-        if rendered is not None:
-            text = rendered + "\n"
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text if text is not None else dumps_canonical(report))
     return 0
 
 
@@ -217,6 +200,11 @@ def _int_matrix_lines(title: str, rows: list[list[int]]) -> list[str]:
     if not rows:
         return [f"{title}: (empty)"]
     return _matrix_lines(title, LaurentMatrix.from_rows(rows))
+
+
+def _emit_datum(args: argparse.Namespace, alg: LefschetzAlgebra, title: str) -> int:
+    """Emit a built datum: its file form, or as a table its intersection matrix."""
+    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
 
 
 # -- commands ------------------------------------------------------------
@@ -431,16 +419,13 @@ def _cmd_catalog_xab(args: argparse.Namespace) -> int:
     from .catalog import xab
 
     alg = xab(args.a, args.b, args.n)
-    title = f"intersection matrix of the ({args.a}, {args.b}) family"
-    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
+    return _emit_datum(args, alg, f"intersection matrix of the ({args.a}, {args.b}) family")
 
 
 def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
     from .catalog import mirror_p2
 
-    alg = mirror_p2(args.n)
-    title = "intersection matrix of the mirror plane"
-    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
+    return _emit_datum(args, mirror_p2(args.n), "intersection matrix of the mirror plane")
 
 
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
@@ -449,8 +434,7 @@ def _cmd_catalog_induce(args: argparse.Namespace) -> int:
     fibre, _ = _load_fibration(args.fibre, None)
     generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
     alg = induced_total_space(fibre, args.n, specs, generators)
-    title = "induced intersection matrix"
-    return _emit(args, fibration_to_obj(alg), lambda: _matrix_lines(title, alg.intersection))
+    return _emit_datum(args, alg, "induced intersection matrix")
 
 
 if __name__ == "__main__":

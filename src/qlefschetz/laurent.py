@@ -38,7 +38,8 @@ MAX_SPAN = 2**16
 
 #: from_pairs accepts coefficient strings of at most MAX_DIGITS decimal
 #: digits, below the interpreter's default int/str limit of 4300, so that a
-#: file is never slow to convert. Writing has no limit (see _decimal).
+#: file is never slow to convert; serialize.fibration_to_obj refuses to write
+#: more. Reports have no limit (see _decimal).
 MAX_DIGITS = 4096
 
 
@@ -63,6 +64,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
+            _check_term(coeff, exp)
             acc[exp] = acc.get(exp, 0) + coeff
         val = min(acc, default=0)
         p = _poly(val, [acc.get(e, 0) for e in range(val, max(acc, default=-1) + 1)])
@@ -81,15 +83,15 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
         """The single term coeff * q^exp."""
+        _check_term(coeff, exp)
         return _poly(exp, (coeff,))
 
     @staticmethod
     def coerce(value: IntoPoly) -> LaurentPoly:
-        if isinstance(value, LaurentPoly):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return _poly(0, (value,))
-        raise TypeError(f"cannot interpret {value!r} as a Laurent polynomial")
+        p = _element(value)
+        if p is None:
+            raise TypeError(f"cannot interpret {value!r} as a Laurent polynomial")
+        return p
 
     # -- structure -----------------------------------------------------
 
@@ -131,9 +133,9 @@ class LaurentPoly:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: IntoPoly) -> LaurentPoly:
-        if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
+        other = _element(other)
+        if other is None:
             return NotImplemented
-        other = LaurentPoly.coerce(other)
         if not other._coeffs:
             return self
         if not self._coeffs:
@@ -153,23 +155,25 @@ class LaurentPoly:
         return _poly(self._val, [-c for c in self._coeffs])
 
     def __sub__(self, other: IntoPoly) -> LaurentPoly:
-        if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
-            return NotImplemented
-        return self + (-LaurentPoly.coerce(other))
+        other = _element(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other: IntoPoly) -> LaurentPoly:
-        return (-self) + other
+        other = _element(other)
+        return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other: IntoPoly) -> LaurentPoly:
-        if type(other) is not LaurentPoly:  # the common case skips coerce
-            if not isinstance(other, (int, LaurentPoly)) or isinstance(other, bool):
+        if type(other) is not LaurentPoly:  # the common case skips _element
+            other = _element(other)
+            if other is None:
                 return NotImplemented
-            other = LaurentPoly.coerce(other)
         return _cross_div(self, other, _ZERO, _ZERO, _ONE)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
+        if not _integer(n):
+            return NotImplemented
         if n < 0:
             if not self.is_unit():
                 raise ExactDivisionError(f"{self} is not invertible in Z[q, q^-1]")
@@ -184,7 +188,8 @@ class LaurentPoly:
         return result
 
     def __truediv__(self, other: IntoPoly) -> LaurentPoly:
-        return self.exact_div(LaurentPoly.coerce(other))
+        other = _element(other)
+        return NotImplemented if other is None else self.exact_div(other)
 
     def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
         """
@@ -273,7 +278,7 @@ class LaurentPoly:
         val = last = 0
         for pair in pairs:
             exp, coeff = pair
-            if not isinstance(exp, int) or isinstance(exp, bool):
+            if not _integer(exp):
                 raise ValueError(f"exponent {exp!r} is not an integer")
             if not (type(coeff) is int or isinstance(coeff, str) and _NUMERAL.fullmatch(coeff)):
                 raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
@@ -297,11 +302,11 @@ class LaurentPoly:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = LaurentPoly.coerce(other)
-        if isinstance(other, LaurentPoly):
-            return self._val == other._val and self._coeffs == other._coeffs
-        return NotImplemented
+        if type(other) is not LaurentPoly:  # the common case skips _element
+            other = _element(other)
+            if other is None:
+                return NotImplemented
+        return self._val == other._val and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         # Constants, zero included, hash like the ints they equal.
@@ -327,6 +332,25 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def _integer(value: object) -> bool:
+    """Whether value is an integer of the ring: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _element(value: object) -> LaurentPoly | None:
+    """value as a ring element, or None: the ring takes only itself and integers."""
+    if isinstance(value, LaurentPoly):
+        return value
+    return _poly(0, (value,)) if _integer(value) else None
+
+
+def _check_term(coeff: object, exp: object) -> None:
+    """Refuse a term coeff * q^exp whose exponent or coefficient is not an integer."""
+    for name, value in (("exponent", exp), ("coefficient", coeff)):
+        if not _integer(value):
+            raise TypeError(f"{name} {value!r} is not an integer")
 
 
 def _decimal(c: int) -> str:

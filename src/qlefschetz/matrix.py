@@ -16,7 +16,7 @@ canonically.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .laurent import IntoPoly, LaurentPoly, _cross_div, gcd_many
 
@@ -175,14 +175,14 @@ class LaurentMatrix(FrozenRecord):
 
     @classmethod
     def identity(cls, m: int) -> LaurentMatrix:
-        return cls.from_rows([[1 if i == j else 0 for j in range(m)] for i in range(m)])
+        return cls.diagonal([1] * m)
 
     @classmethod
     def diagonal(cls, values: Sequence[EntryLike]) -> LaurentMatrix:
         m = len(values)
-        return cls.from_rows(
-            [[values[i] if i == j else 0 for j in range(m)] for i in range(m)]
-        )
+        entries = [LaurentPoly.zero()] * (m * m)
+        entries[:: m + 1] = [LaurentPoly.coerce(x) for x in values]
+        return cls(m, m, tuple(entries))
 
     # -- access -------------------------------------------------------------
 
@@ -216,20 +216,20 @@ class LaurentMatrix(FrozenRecord):
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        return LaurentMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._entrywise(other, LaurentPoly.__add__)
 
     def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
+        return self._entrywise(other, LaurentPoly.__sub__)
+
+    def _entrywise(
+        self, other: LaurentMatrix, op: Callable[[LaurentPoly, LaurentPoly], LaurentPoly]
+    ) -> LaurentMatrix:
+        """The matrix of op(a, b) over the entries a of self and b of other."""
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        self._require_same_shape(other)
-        return LaurentMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        return LaurentMatrix(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
 
     def scale(self, f: IntoPoly) -> LaurentMatrix:
         f = LaurentPoly.coerce(f)
@@ -273,10 +273,6 @@ class LaurentMatrix(FrozenRecord):
 
     def eval_at_one(self) -> list[list[int]]:
         return [[self[i, j].eval_at_one() for j in range(self.cols)] for i in range(self.rows)]
-
-    def _require_same_shape(self, other: LaurentMatrix) -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
 
     # -- elimination ----------------------------------------------------------
 

@@ -135,8 +135,7 @@ def _conjugate(
     The basis move by the elementary matrix C, the identity with `block`
     written at (k, k): returns the algebra of Seifert matrix C* S C, and C.
     """
-    m = alg.size
-    rows: list[list[EntryLike]] = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    rows: list[list[EntryLike]] = LaurentMatrix.identity(alg.size).to_rows()
     for i, row in enumerate(block):
         rows[k + i][k : k + len(row)] = row
     c = LaurentMatrix.from_rows(rows)

@@ -22,10 +22,11 @@ are written (json.dumps stops at the interpreter's 4300-digit limit).
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
-from .laurent import MAX_SPAN, LaurentPoly, _decimal
+from .laurent import MAX_DIGITS, MAX_SPAN, LaurentPoly, _decimal
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 
@@ -41,17 +42,17 @@ def poly_to_obj(p: LaurentPoly) -> list[list[Any]]:
     return p.to_pairs()
 
 
-def poly_from_obj(obj: Any, where: str = "polynomial") -> LaurentPoly:
-    try:
-        return _parse_poly(obj)
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
-
-
-def _parse_poly(obj: Any) -> LaurentPoly:
-    if not isinstance(obj, list):
-        raise ValueError("expected an array of [exponent, coefficient]")
-    return LaurentPoly.from_pairs(obj)
+def _parse_cells(cells: list[Any], where: str) -> list[LaurentPoly]:
+    """The polynomials in cells; a bad one is a FileFormatError naming where[index]."""
+    polys: list[LaurentPoly] = []
+    for i, cell in enumerate(cells):
+        try:
+            if not isinstance(cell, list):
+                raise ValueError("expected an array of [exponent, coefficient]")
+            polys.append(LaurentPoly.from_pairs(cell))
+        except (ValueError, TypeError) as exc:
+            raise FileFormatError(f"{where}[{i}]: {exc}") from exc
+    return polys
 
 
 def matrix_to_obj(m: LaurentMatrix) -> dict[str, Any]:
@@ -79,11 +80,7 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"{where}.entries[{i}]: expected {cols} columns")
-        for j, cell in enumerate(row):
-            try:
-                flat.append(_parse_poly(cell))
-            except (ValueError, TypeError) as exc:
-                raise FileFormatError(f"{where}.entries[{i}][{j}]: {exc}") from exc
+        flat += _parse_cells(row, f"{where}.entries[{i}]")
     return LaurentMatrix(rows, cols, tuple(flat))
 
 
@@ -94,7 +91,7 @@ def kclass_to_obj(k: KClass) -> list[list[Any]]:
 def kclass_from_obj(obj: Any, where: str = "class") -> KClass:
     if not isinstance(obj, list):
         raise FileFormatError(f"{where}: expected an array of polynomials")
-    return KClass([poly_from_obj(c, f"{where}[{i}]") for i, c in enumerate(obj)])
+    return KClass(_parse_cells(obj, where))
 
 
 def fibration_to_obj(
@@ -110,6 +107,17 @@ def fibration_to_obj(
             raise ValueError(
                 f"fibration.B.entries[{i}][{j}]: exponent {exp} exceeds {bound} in absolute value"
             )
+    # Only a coefficient of MAX_DIGITS * 3321 // 1000 bits or more can have
+    # more than MAX_DIGITS digits (log2(10) > 3.321). One C-level pass finds
+    # whether there is one; only then does each entry take the loader's check.
+    bits = max(map(int.bit_length, chain.from_iterable([p._coeffs for p in b.entries])), default=0)
+    if bits >= MAX_DIGITS * 3321 // 1000:
+        for k, p in enumerate(b.entries):
+            try:
+                LaurentPoly.from_pairs(p.to_pairs())
+            except ValueError as exc:
+                i, j = divmod(k, b.cols)
+                raise ValueError(f"fibration.B.entries[{i}][{j}]: {exc}") from None
     obj: dict[str, Any] = {
         "n": alg.dim,
         "m": alg.size,

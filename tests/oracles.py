@@ -39,6 +39,23 @@ def rand_kclass(rng: random.Random, m: int) -> KClass:
     return KClass([rand_poly(rng) for _ in range(m)])
 
 
+def rand_algebra(rng: random.Random, m: int, dim: int) -> LefschetzAlgebra:
+    rows = [
+        [1 if i == j else rand_poly(rng) if i < j else 0 for j in range(m)]
+        for i in range(m)
+    ]
+    return LefschetzAlgebra.from_seifert(dim, LaurentMatrix.from_rows(rows))
+
+
+def assert_canonical(p: LaurentPoly) -> None:
+    """No zero coefficient at either end, and zero is (0, ())."""
+    assert type(p._coeffs) is tuple
+    if p._coeffs:
+        assert p._coeffs[0] and p._coeffs[-1]
+    else:
+        assert p._val == 0
+
+
 def schoolbook_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """a * b by convolving the coefficient maps term by term."""
     terms: dict[int, int] = {}

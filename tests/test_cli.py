@@ -614,6 +614,43 @@ def test_coefficient_numerals_are_capped_on_read(tmp_path, capsys):
 BIG = "1" + "0" * 3000  # the corner entry 10^3000 of write_big_corner(tmp_path, 3000)
 
 
+def test_move_refuses_to_write_coefficients_the_loader_refuses(tmp_path, capsys):
+    # A Hurwitz move at 1 on S = [[1, x, x], [0, 1, x], [0, 0, 1]] puts x^2
+    # at (1, 3), with 6001 digits for x = 10^3000: verify would refuse it.
+    one, x = [[0, "1"]], [[0, BIG]]
+    entries = [[one, x, x], [[], one, x], [[], [], one]]
+    path = tmp_path / "s.json"
+    path.write_text(
+        dumps_canonical({"n": 4, "m": 3, "A": {"rows": 3, "cols": 3, "entries": entries}}),
+        encoding="utf-8",
+    )
+    moved = tmp_path / "moved.json"
+    code = main(["move", str(path), "hurwitz", "--k", "1", "--output", str(moved)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    field = "fibration.B.entries[0][2]"
+    assert f"{field}: coefficient at exponent 0 has more than {MAX_DIGITS} digits" in captured.err
+    assert not moved.exists()
+    # Reports are not fibration files and keep every digit.
+    code, out = run(capsys, ["compute", "det", path])
+    assert code == 0 and len(out) > 2 * len(BIG)
+
+
+def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    for argv in (
+        ["move", path, "hurwitz", "--k", 1],
+        ["verify", path, "--format", "table"],
+        ["catalog", "xab", "--a", 2, "--b", 3, "--n", 4],
+    ):
+        code = main([str(a) for a in argv + ["--output", tmp_path / "missing" / "out.json"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot read or write:" in captured.err
+
+
 def test_classical_writes_integers_beyond_the_int_str_limit(tmp_path, capsys):
     # S1 = [[1, x], [0, 1]] with x = 10^3000 and n = 4: the classical
     # monodromy S1^-1 S1^T = [[1 - x^2, -x], [x, 1]] has a 6001-digit entry.

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, _cross_div, q
 
-from oracles import long_division, schoolbook_product
+from oracles import assert_canonical, long_division, schoolbook_product
 
 bounded = settings(deadline=None, max_examples=100)
 
@@ -40,15 +40,6 @@ polys = st.one_of(
 )
 nonzero = polys.filter(bool)
 divisors = st.integers(-3, 3).map(lambda j: q**j) | nonzero
-
-
-def assert_canonical(p: LaurentPoly) -> None:
-    """No zero coefficient at either end, and zero is (0, ())."""
-    assert type(p._coeffs) is tuple
-    if p._coeffs:
-        assert p._coeffs[0] and p._coeffs[-1]
-    else:
-        assert p._val == 0
 
 
 def agrees(run, reference):

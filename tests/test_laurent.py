@@ -191,6 +191,41 @@ def test_coerce_rejects_bools():
     assert LaurentPoly.coerce(1) == 1
 
 
+def test_foreign_operands_name_their_operator():
+    with pytest.raises(TypeError, match="for -: 'str' and 'LaurentPoly'"):
+        "x" - q
+    with pytest.raises(TypeError, match="for /: 'LaurentPoly' and 'float'"):
+        q / 1.5
+    for other in ("x", 1.5, True, None):
+        assert q.__rsub__(other) is NotImplemented
+        assert q.__truediv__(other) is NotImplemented
+        assert q.__eq__(other) is NotImplemented
+    assert 3 - q == LaurentPoly({0: 3, 1: -1})
+    assert (q * q - 1) / (q - 1) == 1 + q
+
+
+def test_constructors_take_only_integers():
+    # A float or bool coefficient or exponent would slip into exact
+    # arithmetic, and a file written from it would not load again.
+    examples = [
+        lambda: LaurentPoly({0: 0.1}) * 3,
+        lambda: LaurentPoly.monomial(0.5, 1) + 1,
+        lambda: LaurentPoly({0: True}),
+        lambda: LaurentPoly({True: 2}),
+        lambda: LaurentPoly([(0.0, 1)]),
+        lambda: LaurentPoly.monomial(1, 2.0),
+        lambda: LaurentPoly.monomial(False, 1),
+    ]
+    for example in examples:
+        with pytest.raises(TypeError, match="is not an integer"):
+            example()
+    assert LaurentPoly({0: 3, -1: 2}) == LaurentPoly.monomial(2, -1) + 3
+    for n in (True, 2.0):
+        with pytest.raises(TypeError, match=r"for \*\* or pow\(\)"):
+            q**n
+    assert q**2 == LaurentPoly({2: 1}) and q**-1 == LaurentPoly({-1: 1})
+
+
 def test_int_comparison_and_hash():
     assert LaurentPoly({0: 5}) == 5
     assert hash(LaurentPoly({0: 5})) == hash(5)

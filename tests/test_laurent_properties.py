@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, laurent_gcd
 
-from oracles import rational_gcd
+from oracles import assert_canonical, rational_gcd
 
 Q = sympy.Symbol("q")
 
@@ -46,14 +46,6 @@ def is_unit(expr: sympy.Expr) -> bool:
         len(terms := sympy.Poly(part, Q).terms()) == 1 and abs(terms[0][1]) == 1
         for part in sympy.cancel(expr).as_numer_denom()
     )
-
-
-def assert_canonical(p: LaurentPoly) -> None:
-    assert type(p._coeffs) is tuple
-    if p._coeffs:
-        assert p._coeffs[0] != 0 and p._coeffs[-1] != 0
-    else:
-        assert p._val == 0
 
 
 def test_storage_is_valuation_and_coefficient_tuple():

@@ -10,15 +10,7 @@ from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
 
-from oracles import band_matrix, monodromy_pairing_matrix, rand_kclass, rand_poly
-
-
-def rand_algebra(rng: random.Random, m: int, dim: int) -> LefschetzAlgebra:
-    rows = [
-        [1 if i == j else rand_poly(rng) if i < j else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    return LefschetzAlgebra.from_seifert(dim, LaurentMatrix.from_rows(rows))
+from oracles import band_matrix, monodromy_pairing_matrix, rand_algebra, rand_kclass, rand_poly
 
 
 def test_from_intersection_single_object():

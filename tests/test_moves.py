@@ -23,15 +23,7 @@ from qlefschetz.moves import (
     shift_object,
 )
 
-from oracles import band_matrix, rand_kclass, rand_poly
-
-
-def rand_algebra(rng: random.Random, m: int, dim: int) -> LefschetzAlgebra:
-    rows = [
-        [1 if i == j else rand_poly(rng) if i < j else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    return LefschetzAlgebra.from_seifert(dim, LaurentMatrix.from_rows(rows))
+from oracles import band_matrix, rand_algebra, rand_kclass
 
 
 def test_hurwitz_move_two_by_two():

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from qlefschetz.laurent import q
+from qlefschetz.laurent import MAX_DIGITS, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
 from qlefschetz.moves import TwistWord
@@ -54,6 +54,18 @@ def test_fibration_roundtrip_and_labels():
     parsed, none_labels = fibration_from_obj(seifert_obj)
     assert parsed == alg
     assert none_labels is None
+
+
+def test_fibration_files_take_only_coefficients_the_loader_reads():
+    # B = S - q S* for n = 4 holds -x q at (1, 0) and x at (0, 1).
+    for x in (10**MAX_DIGITS - 1, -(10**MAX_DIGITS - 1), 10**MAX_DIGITS // 7):
+        alg = LefschetzAlgebra.from_seifert(4, LaurentMatrix.from_rows([[1, x], [0, 1]]))
+        assert fibration_from_obj(json.loads(dumps_canonical(fibration_to_obj(alg))))[0] == alg
+    for x in (10**MAX_DIGITS, -(10**MAX_DIGITS)):
+        alg = LefschetzAlgebra.from_seifert(4, LaurentMatrix.from_rows([[1, x], [0, 1]]))
+        message = f"fibration.B.entries[0][1]: coefficient at exponent 0 has more than {MAX_DIGITS}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fibration_to_obj(alg)
 
 
 def test_fibration_n_override():
