@@ -8,8 +8,9 @@ of coefficients up to the degree, with no zero at either end (zero is
 valuation 0 and the empty tuple). Coefficients are Python ints and never
 overflow.
 
-Every product and exact quotient runs one kernel, _cross_div, which
-computes (a * p - h * b) / d; sums and gcds keep their own loops.
+Every product, sum of products and exact quotient runs one kernel,
+_cross_div, which computes (x1 * y1 + x2 * y2 + ...) / d; plain sums and
+gcds keep their own loops.
 
 The units of Z[q, q^-1] are +-q^k; "content" of a polynomial means the gcd
 of its integer coefficients, and "primitive" means content 1. Gcds are
@@ -74,11 +75,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return _poly(0, ())
+        return _ZERO
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return _poly(0, (1,))
+        return _ONE
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
@@ -167,7 +168,7 @@ class LaurentPoly:
             other = _element(other)
             if other is None:
                 return NotImplemented
-        return _cross_div(self, other, _ZERO, _ZERO, _ONE)
+        return _cross_div(((self, other),), _ONE)
 
     __rmul__ = __mul__
 
@@ -197,13 +198,13 @@ class LaurentPoly:
         divisor does not divide self. This is the only public division,
         because it is only ever needed where exactness is guaranteed:
         back-substitution, gcd normalization and the order of vanishing at
-        q = 1. It is the kernel _cross_div with the cross term left out.
+        q = 1. It is the kernel _cross_div on the one pair (self, 1).
 
         >>> p = LaurentPoly({0: -1, 1: 2, 2: -1})   # -(1 - q)^2
         >>> p.exact_div(LaurentPoly({0: 1, 1: -1}))
         LaurentPoly('-1 + q')
         """
-        return _cross_div(self, _ONE, _ZERO, _ZERO, divisor)
+        return _cross_div(((self, _ONE),), divisor)
 
     # -- involution and specializations ----------------------------------
 
@@ -389,25 +390,26 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
 _ZERO, _ONE = _poly(0, ()), _poly(0, (1,))
 
 
-def _cross_div(
-    a: LaurentPoly, p: LaurentPoly, h: LaurentPoly, b: LaurentPoly, d: LaurentPoly
-) -> LaurentPoly:
+def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly) -> LaurentPoly:
     """
-    (a * p - h * b) / d in one pass: both products are convolved into one
-    integer buffer, which is long-divided by d in place, and one polynomial
-    is built. This is the ring's one kernel: the update step of
-    fraction-free elimination, the product a * p (h = b = 0, d = 1) and the
-    exact quotient a / d (p = 1, h = b = 0). Raises ExactDivisionError when
-    d does not divide the cross product.
+    (x1 * y1 + x2 * y2 + ...) / d over the factor pairs (x, y) in one pass:
+    every product is convolved into one integer buffer, which is
+    long-divided by d in place, and one polynomial is built. Pairs with a
+    zero factor are skipped. This is the ring's one kernel: each entry of a
+    matrix product and each dot product (d = 1), the product x * y (one
+    pair, d = 1), the exact quotient x / d (one pair x * 1) and the update
+    step of fraction-free elimination (two pairs). Raises
+    ExactDivisionError when d does not divide the sum.
 
-    A product a * p / q^j with a monomial factor c q^k is the other factor,
-    scaled by c unless c = 1 and shifted by k - j; it needs no buffer and no
-    trimming, since a product of canonical factors is canonical.
+    A single product x * y / q^j with a monomial factor c q^k is the other
+    factor, scaled by c unless c = 1 and shifted by k - j; it needs no
+    buffer and no trimming, since a product of canonical factors is
+    canonical.
 
     >>> one = LaurentPoly.one()
-    >>> _cross_div(q, q, one, one, q - 1)      # (q^2 - 1) / (q - 1)
+    >>> _cross_div([(q, q), (-one, one)], q - 1)      # (q^2 - 1) / (q - 1)
     LaurentPoly('1 + q')
-    >>> _cross_div(q, q, one, one, q + 2)
+    >>> _cross_div([(q, q), (-one, one)], q + 2)
     Traceback (most recent call last):
     ...
     qlefschetz.laurent.ExactDivisionError: 2 + q does not divide -1 + q^2
@@ -415,45 +417,40 @@ def _cross_div(
     den = d._coeffs
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    ac, pc, hc, bc = a._coeffs, p._coeffs, h._coeffs, b._coeffs
-    if not (ac and pc):
-        ac = pc = ()
-    if not (hc and bc):
-        hc = bc = ()
-    if not hc and den == (1,) and (len(ac) == 1 or len(pc) == 1):
-        c, rest = (ac[0], pc) if len(ac) == 1 else (pc[0], ac)
+    # The nonzero products as (lowest exponent, factor, factor), the shorter
+    # factor first, and the exponent window [val, top) that holds them all.
+    terms = []
+    val = top = 0
+    for x, y in pairs:
+        xc, yc = x._coeffs, y._coeffs
+        if xc and yc:
+            lo = x._val + y._val
+            hi = lo + len(xc) + len(yc) - 1
+            if not terms:
+                val, top = lo, hi
+            elif lo < val:
+                val = lo
+            if hi > top:
+                top = hi
+            terms.append((lo, xc, yc) if len(xc) <= len(yc) else (lo, yc, xc))
+    if not terms:
+        return _ZERO
+    if len(terms) == 1 and len(terms[0][1]) == 1 and den == (1,):
+        _, (c,), rest = terms[0]
         r = LaurentPoly.__new__(LaurentPoly)
-        r._val = a._val + p._val - d._val
-        r._coeffs = rest if c == 1 else tuple([c * x for x in rest])
+        r._val = val - d._val
+        r._coeffs = rest if c == 1 else tuple([c * y for y in rest])
         return r
-    # The buffer spans the exponent windows of both nonzero products.
-    lo_ap, lo_hb = a._val + p._val, h._val + b._val
-    if not ac:
-        if not hc:
-            return _ZERO
-        val, top = lo_hb, lo_hb + len(hc) + len(bc)
-    elif not hc:
-        val, top = lo_ap, lo_ap + len(ac) + len(pc)
-    else:
-        val = min(lo_ap, lo_hb)
-        top = max(lo_ap + len(ac) + len(pc), lo_hb + len(hc) + len(bc))
-    buf = [0] * (top - 1 - val)
-    k = lo_ap - val
-    for x in ac:
-        if x:
-            j = k
-            for y in pc:
-                buf[j] += x * y
-                j += 1
-        k += 1
-    k = lo_hb - val
-    for x in hc:
-        if x:
-            j = k
-            for y in bc:
-                buf[j] -= x * y
-                j += 1
-        k += 1
+    buf = [0] * (top - val)
+    for lo, xc, yc in terms:
+        k = lo - val
+        for x in xc:
+            if x:
+                j = k
+                for y in yc:
+                    buf[j] += x * y
+                    j += 1
+            k += 1
     n, lead = len(den), den[-1]
     if n == 1 and lead == 1:
         # Division by q^k only shifts exponents; every product ends here.
@@ -480,7 +477,7 @@ def _cross_div(
     else:
         if not any(buf[lo : lo + n - 1]):
             return _poly(val + lo - d._val, buf[lo + n - 1 : hi])
-    raise ExactDivisionError(f"{d} does not divide {a * p - h * b}")
+    raise ExactDivisionError(f"{d} does not divide {_cross_div(pairs, _ONE)}")
 
 
 def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:

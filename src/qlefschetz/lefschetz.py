@@ -22,8 +22,6 @@ its matching spheres.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .laurent import LaurentPoly
 from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
 
@@ -77,17 +75,12 @@ class LefschetzAlgebra(FrozenRecord):
         m = intersection.rows
         entries = intersection.entries
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        seifert = LaurentMatrix(
-            m,
-            m,
-            tuple(
-                entries[i * m + j] if i < j else one if i == j else zero
-                for i in range(m)
-                for j in range(m)
-            ),
-        )
+        upper: list[LaurentPoly] = []
+        for i in range(m):
+            upper += (zero,) * i + (one,) + entries[i * m + i + 1 : (i + 1) * m]
+        seifert = LaurentMatrix(m, m, tuple(upper))
         for k, expected in enumerate(_regenerated(dim, seifert)):
-            if entries[k] != expected:
+            if entries[k] is not expected and entries[k] != expected:
                 i, j = divmod(k, m)
                 raise ConsistencyError(
                     f"entry ({i + 1}, {j + 1}) is {entries[k]}, but the "
@@ -158,13 +151,19 @@ class LefschetzAlgebra(FrozenRecord):
         the mapping cone class e_(k+m) - e_k.
         """
         m, s, b = self.size, self.seifert, self.intersection
-        zeros = (LaurentPoly.zero(),) * m
-        blocks = [s.row(i) + b.row(i) for i in range(m)] + [zeros + s.row(i) for i in range(m)]
-        cover = LefschetzAlgebra.from_seifert(self.dim, LaurentMatrix.from_rows(blocks))
-        matching = [
-            KClass.basis_vector(2 * m, k + m) - KClass.basis_vector(2 * m, k)
-            for k in range(m)
-        ]
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        entries: list[LaurentPoly] = []
+        for i in range(m):
+            entries += s.row(i) + b.row(i)
+        for i in range(m):
+            entries += (zero,) * m + s.row(i)
+        seifert = LaurentMatrix(2 * m, 2 * m, tuple(entries))
+        cover = LefschetzAlgebra.from_seifert(self.dim, seifert)
+        matching = []
+        for k in range(m):
+            coords = [zero] * (2 * m)
+            coords[k], coords[k + m] = -one, one
+            matching.append(KClass(coords))
         return cover, matching
 
 
@@ -173,17 +172,24 @@ def parity_sign(dim: int) -> int:
     return -1 if dim % 2 else 1
 
 
-def _regenerated(dim: int, seifert: LaurentMatrix) -> Iterator[LaurentPoly]:
+def _regenerated(dim: int, seifert: LaurentMatrix) -> list[LaurentPoly]:
     """
     The entries, row-major, of the intersection matrix S - (-1)^n q S* of a
     unitriangular S: S above the diagonal, 1 - (-1)^n q on it and
-    -(-1)^n q star(S[j, i]) at a lower entry (i, j).
+    -(-1)^n q star(S[j, i]) at a lower entry (i, j), computed once per
+    distinct S[j, i].
     """
     m, s = seifert.rows, seifert.entries
     minus_sq = LaurentPoly.monomial(-parity_sign(dim), 1)
     diagonal = 1 + minus_sq
-    return (
-        s[i * m + j] if i < j else diagonal if i == j else minus_sq * s[j * m + i].star()
-        for i in range(m)
-        for j in range(m)
-    )
+    lower: dict[LaurentPoly, LaurentPoly] = {}
+    entries: list[LaurentPoly] = []
+    for i in range(m):
+        for x in s[i : i * m : m]:  # S[j, i] for j < i
+            y = lower.get(x)
+            if y is None:
+                y = lower[x] = minus_sq * x.star()
+            entries.append(y)
+        entries.append(diagonal)
+        entries += s[i * m + i + 1 : (i + 1) * m]
+    return entries

@@ -205,12 +205,11 @@ class LaurentMatrix(FrozenRecord):
         """Upper-triangular with every diagonal entry equal to 1."""
         if not self.is_square():
             return False
+        one = LaurentPoly.one()
         for i in range(self.rows):
-            if self[i, i] != 1:
+            row = self.row(i)
+            if row[i] != one or any(row[:i]):
                 return False
-            for j in range(i):
-                if not self[i, j].is_zero():
-                    return False
         return True
 
     # -- arithmetic -----------------------------------------------------------
@@ -237,9 +236,11 @@ class LaurentMatrix(FrozenRecord):
 
     def __matmul__(self, other: LaurentMatrix | KClass):
         """
-        With a matrix, in row order over nonzeros (Gustavson 1978): row i is
-        the sum of x * other.row(l) over the nonzero x = self[i, l], each row
-        of other reduced once to its nonzero (j, y).
+        With a matrix, in row order over nonzeros (Gustavson 1978): row i
+        collects, for each column j, the pairs (x, y) of a nonzero
+        x = self[i, l] and a nonzero y = other[l, j], each row of other
+        reduced once to its nonzero (j, y); each entry is then one kernel
+        call on its pairs.
         """
         if isinstance(other, KClass):
             if self.cols != len(other):
@@ -253,14 +254,15 @@ class LaurentMatrix(FrozenRecord):
             )
         n = other.cols
         nonzeros = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(other.rows)]
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
         entries: list[LaurentPoly] = []
         for i in range(self.rows):
-            acc = [LaurentPoly.zero()] * n
+            pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in range(n)]
             for x, row in zip(self.row(i), nonzeros):
                 if x:
                     for j, y in row:
-                        acc[j] = acc[j] + x * y
-            entries += acc
+                        pairs[j].append((x, y))
+            entries += [_cross_div(p, one) if p else zero for p in pairs]
         return LaurentMatrix(self.rows, n, tuple(entries))
 
     def star_transpose(self) -> LaurentMatrix:
@@ -322,12 +324,13 @@ class LaurentMatrix(FrozenRecord):
             raise ValueError("matrix is not upper-triangular with unit diagonal")
         m = self.rows
         rows = self.to_rows()
+        zero = LaurentPoly.zero()
         columns: list[list[LaurentPoly]] = []
         for j in range(m):
-            column = [LaurentPoly.zero()] * m
-            column[j] = LaurentPoly.one()
+            # Column j of the inverse is zero below row j.
+            column = [zero] * j + [LaurentPoly.one()]
             _back_substitute(rows[: j + 1], range(j + 1), column)
-            columns.append(column)
+            columns.append(column + [zero] * (m - 1 - j))
         return LaurentMatrix(m, m, tuple(columns[j][i] for i in range(m) for j in range(m)))
 
     def __str__(self) -> str:
@@ -353,20 +356,13 @@ def gram_pairing(gram: LaurentMatrix, h0: KClass, h1: KClass) -> LaurentPoly:
             f"class lengths {len(h0)}, {len(h1)} do not fit a "
             f"{gram.rows}x{gram.cols} pairing matrix"
         )
-    acc = LaurentPoly.zero()
-    for i in range(gram.rows):
-        if not h0[i].is_zero():
-            acc = acc + h0[i].star() * _dot(gram.row(i), h1.coords)
-    return acc
+    rows = [i for i, x in enumerate(h0.coords) if x]
+    return _dot([h0[i].star() for i in rows], [_dot(gram.row(i), h1.coords) for i in rows])
 
 
 def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """The sum of x * y over paired entries, skipping pairs with a zero factor."""
-    acc = LaurentPoly.zero()
-    for x, y in zip(xs, ys):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
+    """The sum of x * y over paired entries, one kernel call; zero factors drop out."""
+    return _cross_div(list(zip(xs, ys)), LaurentPoly.one())
 
 
 def _back_substitute(
@@ -377,10 +373,15 @@ def _back_substitute(
     pivot_cols. On entry x holds b at the pivot columns and the chosen
     values elsewhere; each pivot coordinate is divided out exactly.
     """
+    n, minus_one = len(x), -LaurentPoly.one()
     for r in range(len(pivot_cols) - 1, -1, -1):
         p = pivot_cols[r]
         row = rows[r]
-        x[p] = (x[p] - _dot(row[p + 1 :], x[p + 1 :])).exact_div(row[p])
+        # (x[p] - sum of row[l] x[l]) / row[p], as one kernel call on the
+        # negated sum over the negated pivot.
+        pairs = list(zip(row[p + 1 : n], x[p + 1 :]))
+        pairs.append((x[p], minus_one))
+        x[p] = _cross_div(pairs, -row[p])
 
 
 def _bareiss(
@@ -428,17 +429,17 @@ def _bareiss(
             sign = -sign
         prow = work[r]
         if den[r] != prev:
-            prow[c:] = [_cross_div(x, prev, zero, zero, den[r]) if x else x for x in prow[c:]]
+            prow[c:] = [_cross_div(((x, prev),), den[r]) if x else x for x in prow[c:]]
         pivot = prow[c]
         for i in range(r + 1, nrows):
             row = work[i]
             head = row[c]
             if not head:
                 continue
-            d = den[i]
+            d, minus_head = den[i], -head
             for j in range(c + 1, ncols):
                 if row[j] or prow[j]:
-                    row[j] = _cross_div(row[j], pivot, head, prow[j], d)
+                    row[j] = _cross_div(((row[j], pivot), (minus_head, prow[j])), d)
             row[c] = zero
             den[i] = pivot
         prev = pivot

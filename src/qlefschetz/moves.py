@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra, parity_sign
-from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, gram_pairing
+from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, _dot, gram_pairing
 
 
 class TwistWord(FrozenRecord):
@@ -134,12 +134,31 @@ def _conjugate(
     """
     The basis move by the elementary matrix C, the identity with `block`
     written at (k, k): returns the algebra of Seifert matrix C* S C, and C.
+
+    C* S C differs from S only in the rows and columns the block covers:
+    those columns of S C are the rows of S times the block's columns, and
+    those rows of C* (S C) are the block's star-transposed rows times the
+    block's rows of S C. So a move computes O(m) entries, each one kernel
+    call, and copies the rest.
     """
-    rows: list[list[EntryLike]] = LaurentMatrix.identity(alg.size).to_rows()
-    for i, row in enumerate(block):
-        rows[k + i][k : k + len(row)] = row
-    c = LaurentMatrix.from_rows(rows)
-    return LefschetzAlgebra.from_seifert(alg.dim, c.star_transpose() @ alg.seifert @ c), c
+    m, t = alg.size, len(block)
+    rows = [[LaurentPoly.coerce(x) for x in row] for row in block]
+    c = list(LaurentMatrix.identity(m).entries)
+    for i, row in enumerate(rows):
+        c[(k + i) * m + k : (k + i) * m + k + t] = row
+    columns = list(zip(*rows))
+    s = list(alg.seifert.entries)
+    for i in range(0, m * m, m):
+        part = s[i + k : i + k + t]  # one row of S in the block's columns
+        s[i + k : i + k + t] = [_dot(part, column) for column in columns]
+    sc_rows = s[k * m : (k + t) * m]
+    for i, column in enumerate(columns):
+        column_star = [x.star() for x in column]
+        s[(k + i) * m : (k + i + 1) * m] = [
+            _dot(column_star, sc_rows[j::m]) for j in range(m)
+        ]
+    seifert = LaurentMatrix(m, m, tuple(s))
+    return LefschetzAlgebra.from_seifert(alg.dim, seifert), LaurentMatrix(m, m, tuple(c))
 
 
 def _checked_position(alg: LefschetzAlgebra, k: int) -> None:

@@ -22,6 +22,7 @@ are written (json.dumps stops at the interpreter's 4300-digit limit).
 
 from __future__ import annotations
 
+import marshal
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
@@ -42,25 +43,52 @@ def poly_to_obj(p: LaurentPoly) -> list[list[Any]]:
     return p.to_pairs()
 
 
-def _parse_cells(cells: list[Any], where: str) -> list[LaurentPoly]:
-    """The polynomials in cells; a bad one is a FileFormatError naming where[index]."""
+def _parse_cells(cells: list[Any], where: str, seen: dict[bytes, LaurentPoly]) -> list[LaurentPoly]:
+    """
+    The polynomials in cells; a bad one is a FileFormatError naming
+    where[index]. Each distinct cell is parsed once: seen maps a parsed
+    cell's marshal bytes to its polynomial. The key must be type-exact,
+    since JSON false and 0.0 equal 0 in Python but are refused as
+    exponents; format 2 writes every value by its type and value alone.
+    """
     polys: list[LaurentPoly] = []
     for i, cell in enumerate(cells):
         try:
             if not isinstance(cell, list):
                 raise ValueError("expected an array of [exponent, coefficient]")
-            polys.append(LaurentPoly.from_pairs(cell))
+            key = marshal.dumps(cell, 2)
+            p = seen.get(key)
+            if p is None:
+                p = seen[key] = LaurentPoly.from_pairs(cell)
+            polys.append(p)
         except (ValueError, TypeError) as exc:
             raise FileFormatError(f"{where}[{i}]: {exc}") from exc
     return polys
 
 
 def matrix_to_obj(m: LaurentMatrix) -> dict[str, Any]:
+    """The wire form; equal entries share one list of pairs, rendered once."""
+    return _matrix_obj(m)[0]
+
+
+def _matrix_obj(m: LaurentMatrix) -> tuple[dict[str, Any], list[LaurentPoly]]:
+    """matrix_to_obj(m), and the distinct entries in order of first use."""
+    cells: dict[tuple[int, tuple[int, ...]], list[list[Any]]] = {}
+    distinct: list[LaurentPoly] = []
+    flat = []
+    for p in m.entries:
+        key = (p._val, p._coeffs)  # hashed in C, unlike LaurentPoly.__hash__
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = poly_to_obj(p)
+            distinct.append(p)
+        flat.append(cell)
+    n = m.cols
     return {
         "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[poly_to_obj(p) for p in m.row(i)] for i in range(m.rows)],
-    }
+        "cols": n,
+        "entries": [flat[i * n : (i + 1) * n] for i in range(m.rows)],
+    }, distinct
 
 
 def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
@@ -77,10 +105,11 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"{where}.entries: expected {rows} rows")
     flat: list[LaurentPoly] = []
+    seen: dict[bytes, LaurentPoly] = {}
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"{where}.entries[{i}]: expected {cols} columns")
-        flat += _parse_cells(row, f"{where}.entries[{i}]")
+        flat += _parse_cells(row, f"{where}.entries[{i}]", seen)
     return LaurentMatrix(rows, cols, tuple(flat))
 
 
@@ -91,38 +120,40 @@ def kclass_to_obj(k: KClass) -> list[list[Any]]:
 def kclass_from_obj(obj: Any, where: str = "class") -> KClass:
     if not isinstance(obj, list):
         raise FileFormatError(f"{where}: expected an array of polynomials")
-    return KClass(_parse_cells(obj, where))
+    return KClass(_parse_cells(obj, where, {}))
 
 
 def fibration_to_obj(
     alg: LefschetzAlgebra, labels: list[str] | None = None
 ) -> dict[str, Any]:
-    """Canonical file form (always B); an entry from_pairs would refuse is a ValueError."""
+    """
+    Canonical file form (always B); an entry from_pairs would refuse is a
+    ValueError naming its first cell in row-major order, and the term
+    from_pairs would name. Each distinct entry is checked once.
+    """
     b, bound = alg.intersection, MAX_SPAN // 2
-    for k, p in enumerate(b.entries):
+    matrix, distinct = _matrix_obj(b)
+
+    def refuse(p: LaurentPoly, why: str) -> ValueError:
+        i, j = divmod(b.entries.index(p), b.cols)
+        return ValueError(f"fibration.B.entries[{i}][{j}]: {why}")
+
+    for p in distinct:
         # p's exponents run from p._val to p._val + len(p._coeffs) - 1.
         if p._val < -bound or p._val + len(p._coeffs) > bound + 1:
-            i, j = divmod(k, b.cols)
-            exp = p._val if p._val < -bound else p.degree()
-            raise ValueError(
-                f"fibration.B.entries[{i}][{j}]: exponent {exp} exceeds {bound} in absolute value"
-            )
+            exp = next(e for e, _ in p.items() if abs(e) > bound)
+            raise refuse(p, f"exponent {exp} exceeds {bound} in absolute value")
     # Only a coefficient of MAX_DIGITS * 3321 // 1000 bits or more can have
     # more than MAX_DIGITS digits (log2(10) > 3.321). One C-level pass finds
     # whether there is one; only then does each entry take the loader's check.
-    bits = max(map(int.bit_length, chain.from_iterable([p._coeffs for p in b.entries])), default=0)
+    bits = max(map(int.bit_length, chain.from_iterable([p._coeffs for p in distinct])), default=0)
     if bits >= MAX_DIGITS * 3321 // 1000:
-        for k, p in enumerate(b.entries):
+        for p in distinct:
             try:
                 LaurentPoly.from_pairs(p.to_pairs())
             except ValueError as exc:
-                i, j = divmod(k, b.cols)
-                raise ValueError(f"fibration.B.entries[{i}][{j}]: {exc}") from None
-    obj: dict[str, Any] = {
-        "n": alg.dim,
-        "m": alg.size,
-        "B": matrix_to_obj(b),
-    }
+                raise refuse(p, str(exc)) from None
+    obj: dict[str, Any] = {"n": alg.dim, "m": alg.size, "B": matrix}
     if labels is not None:
         obj["labels"] = list(labels)
     return obj
@@ -247,7 +278,7 @@ def dumps_canonical(obj: Any) -> str:
       "\u00e9": []
     }
     """
-    return _render(obj, "\n") + "\n"
+    return _render(obj, "\n", {}) + "\n"
 
 
 class Rendered(str):
@@ -258,8 +289,13 @@ class Rendered(str):
     """
 
 
-def _render(obj: Any, nl: str) -> str:
-    """One JSON value whose first line is already indented; nl ends a line."""
+def _render(obj: Any, nl: str, memo: dict[tuple[int, int], str]) -> str:
+    """
+    One JSON value whose first line is already indented; nl ends a line.
+    memo holds the text of each list rendered so far in this call, by its
+    id and depth, so a list that obj holds in many places, such as a
+    matrix entry shared by equal cells, is rendered once per depth.
+    """
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -274,13 +310,18 @@ def _render(obj: Any, nl: str) -> str:
         if len(obj) == 2 and type(obj[0]) is int and type(obj[1]) is str:
             # A polynomial term: the bulk of every file.
             return f"[{inner}{_decimal(obj[0])},{inner}{_quote(obj[1])}{nl}]"
-        return f"[{inner}{(',' + inner).join([_render(x, inner) for x in obj])}{nl}]"
+        key = (id(obj), len(nl))
+        text = memo.get(key)
+        if text is None:
+            items = (',' + inner).join([_render(x, inner, memo) for x in obj])
+            text = memo[key] = f"[{inner}{items}{nl}]"
+        return text
     if kind is dict:
         if not obj:
             return "{}"
         inner = nl + "  "
         body = (',' + inner).join(
-            [f"{_quote(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())]
+            [f"{_quote(k)}: {_render(v, inner, memo)}" for k, v in sorted(obj.items())]
         )
         return f"{{{inner}{body}{nl}}}"
     if obj is None:

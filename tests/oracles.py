@@ -17,9 +17,11 @@ import math
 import random
 from fractions import Fraction
 
+from qlefschetz.catalog import xab
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
+from qlefschetz.moves import hurwitz_move
 
 
 def rand_poly(rng: random.Random, max_span: int = 3, max_coeff: int = 4) -> LaurentPoly:
@@ -47,6 +49,14 @@ def rand_algebra(rng: random.Random, m: int, dim: int) -> LefschetzAlgebra:
     return LefschetzAlgebra.from_seifert(dim, LaurentMatrix.from_rows(rows))
 
 
+def moved_xab() -> LefschetzAlgebra:
+    """xab(7, 18, 3), m = 25, after six Hurwitz moves: 14 distinct entries among 625."""
+    alg = xab(7, 18, 3)
+    for k in (3, 9, 15, 20, 4, 11):
+        alg, _ = hurwitz_move(alg, k)
+    return alg
+
+
 def assert_canonical(p: LaurentPoly) -> None:
     """No zero coefficient at either end, and zero is (0, ())."""
     assert type(p._coeffs) is tuple
@@ -63,6 +73,15 @@ def schoolbook_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         for f, y in b.items():
             terms[e + f] = terms.get(e + f, 0) + x * y
     return LaurentPoly(terms)
+
+
+def schoolbook_sum_div(pairs: list[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly) -> LaurentPoly:
+    """(x1 * y1 + ... + xk * yk) / d: the schoolbook products, summed one by
+    one, then long-divided by d."""
+    total = LaurentPoly.zero()
+    for x, y in pairs:
+        total = total + schoolbook_product(x, y)
+    return long_division(total, d)
 
 
 def column_dot_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

@@ -130,9 +130,9 @@ def test_example_takes_both_stale_row_paths(monkeypatch):
     calls = []
     kernel = matrix_module._cross_div
 
-    def recording(a, p, h, b, d):
-        calls.append((p, h, b, d))
-        return kernel(a, p, h, b, d)
+    def recording(pairs, d):
+        calls.append((pairs, d))
+        return kernel(pairs, d)
 
     monkeypatch.setattr(matrix_module, "_cross_div", recording)
     one, q = LaurentPoly.one(), LaurentPoly({1: 1})
@@ -140,7 +140,11 @@ def test_example_takes_both_stale_row_paths(monkeypatch):
     b = LaurentMatrix.from_rows(rows)
     work, pivot_cols, sign = _bareiss(b.to_rows())
     assert (work, pivot_cols, sign) == plain_bareiss(b.to_rows())
-    assert (1 + q, LaurentPoly.zero(), LaurentPoly.zero(), one) in calls
-    assert any(p == 2 + 2 * q and h and d == one for p, h, _, d in calls)
+    # The refresh x (1 + q) / 1 is one pair; an update (x p - h b) / d is two.
+    assert any(len(pairs) == 1 and pairs[0][1] == 1 + q and d == one for pairs, d in calls)
+    assert any(
+        len(pairs) == 2 and pairs[0][1] == 2 + 2 * q and pairs[1][0] and d == one
+        for pairs, d in calls
+    )
     for x in POINTS:
         assert b.det().evaluate(x) == fraction_det(evaluate_matrix(b, x))

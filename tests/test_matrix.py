@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qlefschetz.matrix as matrix_module
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
 
@@ -79,26 +81,26 @@ def test_sum_and_difference_with_a_foreign_operand_are_type_errors():
 
 
 def test_mat_mul_multiplies_each_pair_of_nonzero_factors_once(monkeypatch):
-    """One LaurentPoly product per (A[i, l], B[l, j]) with both nonzero: the
-    count the benchmark's laurent.mul.calls reads."""
+    """The kernel is handed each (A[i, l], B[l, j]) with both factors
+    nonzero exactly once, and no pair with a zero factor."""
     rng = random.Random(5)
     a, b = rand_matrix(rng, 4, 5), rand_matrix(rng, 5, 3)
-    expected = sum(
-        1 for i in range(4) for l in range(5) for j in range(3) if a[i, l] and b[l, j]
+    expected = Counter(
+        (a[i, l], b[l, j]) for i in range(4) for l in range(5) for j in range(3)
+        if a[i, l] and b[l, j]
     )
-    assert 0 < expected < 4 * 5 * 3
-    calls = []
-    original = LaurentPoly.__mul__
+    assert 0 < sum(expected.values()) < 4 * 5 * 3
+    pairs = []
+    kernel = matrix_module._cross_div
 
-    def counting(x, y):
-        calls.append((x, y))
-        return original(x, y)
+    def recording(ps, d):
+        pairs.extend(ps)
+        return kernel(ps, d)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    monkeypatch.setattr(matrix_module, "_cross_div", recording)
     product = a @ b
     monkeypatch.undo()
-    assert len(calls) == expected
-    assert all(x and y for x, y in calls)
+    assert Counter(pairs) == expected
     assert product == column_dot_matmul(a, b)
 
 

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qlefschetz.laurent as laurent_module
+import qlefschetz.matrix as matrix_module
 from qlefschetz.catalog import mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
 from qlefschetz.moves import (
     TwistWord,
+    _conjugate,
     apply_twist_word,
     dehn_twist_class,
     hurwitz_inverse_move,
@@ -23,7 +26,7 @@ from qlefschetz.moves import (
     shift_object,
 )
 
-from oracles import band_matrix, rand_algebra, rand_kclass
+from oracles import band_matrix, column_dot_matmul, moved_xab, rand_algebra, rand_kclass
 
 
 def test_hurwitz_move_two_by_two():
@@ -211,6 +214,48 @@ def test_full_twist_returns_the_datum_with_the_monodromy_as_transition(alg):
     untwisted, total_inv = run_moves(alg, hurwitz_inverse_move, list(range(m - 2, -1, -1)) * m)
     assert untwisted == alg
     assert total @ total_inv == LaurentMatrix.identity(m)
+
+
+def move_blocks(alg: LefschetzAlgebra, k: int) -> list[list[list[LaurentPoly]]]:
+    """The blocks of the four moves at k: Hurwitz, its inverse, rescale by q^3, shift."""
+    beta = alg.seifert[k, k + 1]
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return [[[-beta, one], [one, zero]], [[zero, one], [one, -beta.star()]], [[q**3]], [[-one]]]
+
+
+@pytest.mark.parametrize("alg", [xab(2, 5, 3), rand_algebra(random.Random(8), 6, 4)],
+                         ids=["xab-2-5-3", "random-6"])
+def test_conjugate_equals_the_full_products(alg):
+    m = alg.size
+    for k in (0, m // 2, m - 2):
+        for block in move_blocks(alg, k):
+            rows = LaurentMatrix.identity(m).to_rows()
+            for i, row in enumerate(block):
+                rows[k + i][k : k + len(row)] = row
+            c = LaurentMatrix.from_rows(rows)
+            expected = column_dot_matmul(column_dot_matmul(c.star_transpose(), alg.seifert), c)
+            moved, transition = _conjugate(alg, k, block)
+            assert transition == c
+            assert moved == LefschetzAlgebra.from_seifert(alg.dim, expected)
+
+
+def test_a_hurwitz_move_makes_linearly_many_kernel_calls(monkeypatch):
+    """A move at m = 25 computes its two rows and columns, not two m x m products."""
+    alg = moved_xab()
+    m = alg.size
+    calls = []
+    kernel = laurent_module._cross_div
+
+    def counting(pairs, d):
+        calls.append(len(pairs))
+        return kernel(pairs, d)
+
+    for module in (laurent_module, matrix_module):
+        monkeypatch.setattr(module, "_cross_div", counting)
+    moved, c = hurwitz_move(alg, m // 2)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 8 * m
+    assert moved == hurwitz_move(alg, m // 2)[0]
 
 
 def spherical_pair(rng: random.Random, dim: int) -> tuple[LefschetzAlgebra, KClass]:

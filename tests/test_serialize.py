@@ -8,10 +8,11 @@ import re
 
 import pytest
 
-from qlefschetz.laurent import MAX_DIGITS, q
+from qlefschetz.catalog import xab
+from qlefschetz.laurent import MAX_DIGITS, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
-from qlefschetz.moves import TwistWord
+from qlefschetz.moves import TwistWord, rescale_object
 from qlefschetz.serialize import (
     FileFormatError,
     class_specs_from_obj,
@@ -25,7 +26,7 @@ from qlefschetz.serialize import (
     matrix_to_obj,
 )
 
-from oracles import band_matrix, rand_kclass, rand_matrix
+from oracles import band_matrix, moved_xab, rand_kclass, rand_matrix
 
 
 def test_matrix_roundtrip():
@@ -66,6 +67,56 @@ def test_fibration_files_take_only_coefficients_the_loader_reads():
         message = f"fibration.B.entries[0][1]: coefficient at exponent 0 has more than {MAX_DIGITS}"
         with pytest.raises(ValueError, match=re.escape(message)):
             fibration_to_obj(alg)
+
+
+@pytest.mark.parametrize("amount", [40000, -40000])
+def test_writer_names_the_cell_and_exponent_the_loader_names(amount):
+    # Rescaling e_1 of xab(2, 3, 4) by q^a puts q^-a + q^-(a+1) into B.
+    alg = rescale_object(xab(2, 3, 4), 0, amount)
+    loader_says = None
+    for i, row in enumerate(matrix_to_obj(alg.intersection)["entries"]):
+        for j, cell in enumerate(row):
+            try:
+                LaurentPoly.from_pairs(cell)
+            except ValueError as exc:
+                loader_says = loader_says or f"fibration.B.entries[{i}][{j}]: {exc}"
+    assert f"exponent {-amount} exceeds" in loader_says
+    with pytest.raises(ValueError) as info:
+        fibration_to_obj(alg)
+    assert str(info.value) == loader_says
+
+
+@pytest.mark.parametrize("later", [[[False, "1"]], [[0.0, "1"]], [["0", "1"]]],
+                         ids=["false", "float", "string"])
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_a_parsed_cell_does_not_stand_for_an_equal_cell_of_other_types(later, where):
+    # [[0, "1"]] == [[False, "1"]] == [[0.0, "1"]] in Python, but only the first is a cell.
+    first = [[0, "1"]]
+    if where == "row":
+        obj, field = {"rows": 1, "cols": 2, "entries": [[first, later]]}, "matrix.entries[0][1]"
+    else:
+        obj, field = {"rows": 2, "cols": 1, "entries": [[first], [later]]}, "matrix.entries[1][0]"
+    with pytest.raises(FileFormatError, match=re.escape(field + ":")):
+        matrix_from_obj(obj)
+
+
+def test_loading_parses_each_distinct_cell_once(monkeypatch):
+    alg = moved_xab()
+    obj = json.loads(dumps_canonical(fibration_to_obj(alg)))
+    cells = [json.dumps(cell) for row in obj["B"]["entries"] for cell in row]
+    parsed = []
+    original = LaurentPoly.from_pairs
+
+    def counting(cls, pairs):
+        parsed.append(json.dumps(pairs))
+        return original(pairs)
+
+    monkeypatch.setattr(LaurentPoly, "from_pairs", classmethod(counting))
+    loaded, _ = fibration_from_obj(obj)
+    monkeypatch.undo()
+    assert sorted(parsed) == sorted(set(cells))
+    assert len(parsed) < len(cells) // 10
+    assert loaded == alg
 
 
 def test_fibration_n_override():
