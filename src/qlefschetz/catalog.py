@@ -3,10 +3,11 @@ Generators for the worked families of fibration data.
 
 Everything is produced by one pipeline, run one dimension down: start from
 the sphere chain in a type-A Milnor fibre (its equivariant Mukai pairing
-matrix and the K-theory classes of the standard spheres), express the
-vanishing cycles of the total space as classes in that fibre, either
-directly or as words of Dehn twists applied to the spheres, and pair those
-classes to obtain the total space's intersection matrix.
+matrix G and the K-theory classes of the standard spheres), express the
+vanishing cycles of the total space as classes in that fibre, directly or
+as words of Dehn twists applied to the spheres, and pair those classes:
+with them as the columns of R, R* G R is the total space's intersection
+matrix.
 
 Coordinate convention for the sphere chain with m = r + 1 basis objects:
 the k-th sphere is the cone of the degree-zero morphism from the k-th
@@ -23,7 +24,7 @@ from typing import Sequence, Union
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra, parity_sign
-from .matrix import FrozenRecord, KClass, LaurentMatrix, gram_pairing
+from .matrix import FrozenRecord, KClass, LaurentMatrix, pairing_matrix
 from .moves import TwistWord, apply_twist_word
 
 ClassSpec = Union[KClass, tuple[TwistWord, int]]
@@ -77,13 +78,13 @@ def induced_total_space(
 ) -> LefschetzAlgebra:
     """
     Run one step of the dimensional induction: resolve each class spec to
-    a K-theory class of the fibre, pair the resolved classes, and validate
-    the result as the intersection matrix of a parity-n total space. A
-    spec is a class or (twist word, seed index); the word acts with the
-    fibre's parity n - 1 on that generator. The generators default to the
-    Milnor fibre's spheres or the algebra's thimble basis. An inconsistent
-    result (for instance a wrongly ordered collection) surfaces as a
-    ConsistencyError from the validation.
+    a K-theory class of the fibre, pair the resolved classes as R* G R (R
+    their columns, G the fibre's pairing matrix), and validate the result
+    as the intersection matrix of a parity-n total space. A spec is a class
+    or (twist word, seed index); the word acts with the fibre's parity
+    n - 1 on that generator. The generators default to the Milnor fibre's
+    spheres or the algebra's thimble basis. An inconsistent result (for a
+    wrongly ordered collection, say) is a ConsistencyError of the validation.
     """
     if isinstance(fibre, MilnorData):
         gram = fibre.mukai
@@ -115,10 +116,7 @@ def induced_total_space(
                 apply_twist_word(n - 1, gram, generators, word, generators[seed])
             )
 
-    pairings = LaurentMatrix.from_rows(
-        [[gram_pairing(gram, ci, cj) for cj in resolved] for ci in resolved]
-    )
-    return LefschetzAlgebra.from_intersection(n, pairings)
+    return LefschetzAlgebra.from_intersection(n, pairing_matrix(gram, resolved))
 
 
 def xab(a: int, b: int, n: int) -> LefschetzAlgebra:

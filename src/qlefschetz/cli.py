@@ -320,10 +320,10 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
         if result.reason is not None:
             out.append(f"reason: {result.reason}")
         out.append(f"kernel rank: {len(kernel)}")
-        for h, p in zip(kernel, result.self_pairings):
+        for h, p, g in zip(kernel, result.self_pairings, generators):
             out.append(f"  generator {h}")
             out.append(f"    self-pairing {p}")
-            out.append(f"    betti lower bound {betti_lower_bound(p)}")
+            out.append(f"    betti lower bound {g['betti_lower_bound']}")
         return out
 
     return _emit(args, report, lines)

@@ -263,10 +263,7 @@ class LaurentPoly:
         exponents; coefficients as decimal strings so they survive readers
         with 64-bit integers. 1 - q becomes [[0, "1"], [1, "-1"]].
         """
-        try:
-            return [[e, str(c)] for e, c in self.items()]
-        except ValueError:  # a coefficient beyond the int/str digit limit
-            return [[e, _decimal(c)] for e, c in self.items()]
+        return [[e, _decimal(c)] for e, c in self.items()]
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:

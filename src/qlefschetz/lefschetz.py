@@ -182,13 +182,13 @@ def _regenerated(dim: int, seifert: LaurentMatrix) -> list[LaurentPoly]:
     m, s = seifert.rows, seifert.entries
     minus_sq = LaurentPoly.monomial(-parity_sign(dim), 1)
     diagonal = 1 + minus_sq
-    lower: dict[LaurentPoly, LaurentPoly] = {}
+    lower: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
     entries: list[LaurentPoly] = []
     for i in range(m):
         for x in s[i : i * m : m]:  # S[j, i] for j < i
-            y = lower.get(x)
+            y = lower.get(key := (x._val, x._coeffs))  # hashed in C, not by __hash__
             if y is None:
-                y = lower[x] = minus_sq * x.star()
+                y = lower[key] = minus_sq * x.star()
             entries.append(y)
         entries.append(diagonal)
         entries += s[i * m + i + 1 : (i + 1) * m]

@@ -360,6 +360,19 @@ def gram_pairing(gram: LaurentMatrix, h0: KClass, h1: KClass) -> LaurentPoly:
     return _dot([h0[i].star() for i in rows], [_dot(gram.row(i), h1.coords) for i in rows])
 
 
+def pairing_matrix(gram: LaurentMatrix, classes: Sequence[KClass]) -> LaurentMatrix:
+    """
+    The matrix of gram_pairing(gram, c_i, c_j) over the classes c_1..c_k:
+    the congruence R* gram R, where R has the classes as columns.
+    """
+    m = gram.rows
+    for i, c in enumerate(classes):
+        if len(c) != m:
+            raise ValueError(f"class {i + 1} has length {len(c)}, not the pairing matrix's {m}")
+    r = LaurentMatrix(m, len(classes), tuple(c[i] for i in range(m) for c in classes))
+    return r.star_transpose() @ gram @ r
+
+
 def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
     """The sum of x * y over paired entries, one kernel call; zero factors drop out."""
     return _cross_div(list(zip(xs, ys)), LaurentPoly.one())

@@ -3,12 +3,13 @@ Independent oracles shared by the test suite.
 
 Everything here is deliberately written by a different route than the
 library: products and quotients by schoolbook convolution and long
-division, matrix products column by column, determinants by cofactor
-expansion, ranks by rational Gaussian elimination after evaluating q,
-monodromy pairings by their closed formula, whole-matrix formulas for the
-intersection matrix and the classical shadow, and the published
-band-matrix formulas entered directly rather than built through the
-induction pipeline.
+division, matrix products column by column, pairing matrices and the
+independence certificate one pair of classes at a time, determinants by
+cofactor expansion, ranks by rational Gaussian elimination after
+evaluating q, monodromy pairings by their closed formula, whole-matrix
+formulas for the intersection matrix and the classical shadow, and the
+published band-matrix formulas entered directly rather than built through
+the induction pipeline.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 from qlefschetz.catalog import xab
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
-from qlefschetz.matrix import KClass, LaurentMatrix
+from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
 from qlefschetz.moves import hurwitz_move
+from qlefschetz.obstructions import HypothesisError, spherical_value
 
 
 def rand_poly(rng: random.Random, max_span: int = 3, max_coeff: int = 4) -> LaurentPoly:
@@ -98,6 +100,33 @@ def column_dot_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
                 acc = acc + schoolbook_product(x, y)
             entries.append(acc)
     return LaurentMatrix(a.rows, b.cols, tuple(entries))
+
+
+def pairwise_pairing_matrix(gram: LaurentMatrix, classes: list[KClass]) -> LaurentMatrix:
+    """The matrix of gram_pairing(gram, c_i, c_j), one call per pair of classes."""
+    return LaurentMatrix.from_rows(
+        [[gram_pairing(gram, ci, cj) for cj in classes] for ci in classes]
+    )
+
+
+def pairwise_independence_certificate(alg: LefschetzAlgebra, classes: list[KClass]) -> bool:
+    """
+    The independence certificate's Gram check one pair at a time, in
+    row-major order: True, or HypothesisError naming the first entry that
+    is not the spherical value on the diagonal and zero off it.
+    """
+    if alg.dim % 2 == 0:
+        raise HypothesisError("the independence certificate needs odd parity")
+    target = spherical_value(alg.dim)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            value = alg.pairing(ci, cj)
+            expected = target if i == j else LaurentPoly.zero()
+            if value != expected:
+                raise HypothesisError(
+                    f"Gram entry ({i + 1}, {j + 1}) is {value}, expected {expected}"
+                )
+    return True
 
 
 def long_division(a: LaurentPoly, d: LaurentPoly) -> LaurentPoly:

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import qlefschetz.laurent as laurent_module
+import qlefschetz.matrix as matrix_module
 from qlefschetz.catalog import induced_total_space, milnor_ar, mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError
@@ -221,3 +223,24 @@ def test_twist_word_route_of_first_band_cycle():
         via_word = induced_total_space(fibre, n, [spec] + windows[1:])
         via_class = induced_total_space(fibre, n, [direct] + windows[1:])
         assert via_word == via_class == xab(2, 3, n)
+
+
+def test_inducing_xab_hands_the_kernel_few_factor_pairs(monkeypatch):
+    """
+    The induction pairs the 40 windows of xab(11, 29, 4) as two sparse
+    products, not as 40^2 pairings that each pass two full rows of 40.
+    """
+    pairs = []
+    kernel = laurent_module._cross_div
+
+    def counting(ps, d):
+        pairs.append(len(ps))
+        return kernel(ps, d)
+
+    for module in (laurent_module, matrix_module):
+        monkeypatch.setattr(module, "_cross_div", counting)
+    alg = xab(11, 29, 4)
+    monkeypatch.undo()
+    m = alg.size
+    assert 0 < sum(pairs) <= 4 * m * m
+    assert alg.intersection == band_matrix(11, 29, 4)
