@@ -63,11 +63,10 @@ def milnor_ar(r: int, n: int) -> MilnorData:
     mukai = LaurentMatrix.from_rows(
         [[1 if i == j else upper if i < j else 0 for j in range(m)] for i in range(m)]
     )
-    spheres = [
-        KClass.basis_vector(m, k + 1) - KClass.basis_vector(m, k) for k in range(r)
-    ]
-    spheres.append(KClass.basis_vector(m, 0) - KClass.basis_vector(m, r))
-    return MilnorData(r, n, mukai, tuple(spheres))
+    spheres = tuple(
+        KClass.basis_vector(m, (k + 1) % m) - KClass.basis_vector(m, k) for k in range(m)
+    )
+    return MilnorData(r, n, mukai, spheres)
 
 
 def induced_total_space(
@@ -153,31 +152,12 @@ MIRROR_P2_WORDS: tuple[tuple[str, int], ...] = (
 
 def mirror_p2(n: int) -> LefschetzAlgebra:
     """
-    The fibration on the mirror of the projective plane, built over the
-    type-A_3 fibre in two independent ways: from the closed-form K-theory
-    expressions of its three vanishing cycles, and by applying the twist
-    words read off from the vanishing paths. The two constructions must
-    agree exactly; their pairing matrix has nonzero determinant, so this
-    family has no kernel classes at all.
+    The fibration on the mirror of the projective plane, induced over the
+    type-A_3 fibre from the twist words MIRROR_P2_WORDS read off its
+    vanishing paths, each acting on its seed sphere. The pairing matrix
+    has nonzero determinant, so this family has no kernel classes at all.
     """
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
-    fibre = milnor_ar(3, n)
-    s = parity_sign(n)
-    sphere = fibre.sphere_classes
-    direct = [
-        sphere[0] + sphere[1],
-        sphere[0] + sphere[1].scale(LaurentPoly.monomial(-s, -1)) + sphere[3],
-        sphere[0].scale(LaurentPoly.monomial(-s, 1)) + sphere[1] + sphere[2],
-    ]
-    twisted = [
-        apply_twist_word(
-            n - 1, fibre.mukai, list(sphere), TwistWord.parse(word), sphere[seed]
-        )
-        for word, seed in MIRROR_P2_WORDS
-    ]
-    if direct != twisted:
-        raise AssertionError(
-            "the twist-word construction disagrees with the closed-form classes"
-        )
-    return induced_total_space(fibre, n, direct)
+    specs = [(TwistWord.parse(word), seed) for word, seed in MIRROR_P2_WORDS]
+    return induced_total_space(milnor_ar(3, n), n, specs)

@@ -151,7 +151,7 @@ class LefschetzAlgebra(FrozenRecord):
         the mapping cone class e_(k+m) - e_k.
         """
         m, s, b = self.size, self.seifert, self.intersection
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        zero = LaurentPoly.zero()
         entries: list[LaurentPoly] = []
         for i in range(m):
             entries += s.row(i) + b.row(i)
@@ -159,11 +159,8 @@ class LefschetzAlgebra(FrozenRecord):
             entries += (zero,) * m + s.row(i)
         seifert = LaurentMatrix(2 * m, 2 * m, tuple(entries))
         cover = LefschetzAlgebra.from_seifert(self.dim, seifert)
-        matching = []
-        for k in range(m):
-            coords = [zero] * (2 * m)
-            coords[k], coords[k + m] = -one, one
-            matching.append(KClass(coords))
+        basis = KClass.basis_vector
+        matching = [basis(2 * m, k + m) - basis(2 * m, k) for k in range(m)]
         return cover, matching
 
 

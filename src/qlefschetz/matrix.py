@@ -131,16 +131,17 @@ class KClass(FrozenRecord):
         divide by the gcd of the entries, then shift by the monomial that
         gives the first nonzero entry valuation 0, with a positive
         coefficient there. Used to pin down nullspace generators like
-        (1, ..., 1) uniquely.
+        (1, ..., 1) uniquely. The gcd has valuation 0 and a positive
+        constant term, so the first entry fixes that unit before any
+        division, and each entry is one kernel call c * unit / gcd.
         """
         if self.is_zero():
             return self
         g = gcd_many(c for c in self.coords if not c.is_zero())
-        coords = [c.exact_div(g) for c in self.coords]
-        first = next(c for c in coords if not c.is_zero())
+        first = next(c for c in self.coords if not c.is_zero())
         val = first.valuation()
         unit = LaurentPoly.monomial(1 if first[val] > 0 else -1, -val)
-        return KClass(unit * c for c in coords)
+        return KClass(_cross_div(((c, unit),), g) for c in self.coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

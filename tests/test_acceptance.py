@@ -282,7 +282,7 @@ def test_criterion_11_dual_route_catalog_build():
             for word, seed in MIRROR_P2_WORDS
         ]
         assert direct == twisted
-        mirror_p2(n)  # the constructor runs the same comparison internally
+        mirror_p2(n)  # the constructor induces from the twist words alone
     report_pass(11, "twist-word and closed-form mirror-plane classes agree exactly")
 
 

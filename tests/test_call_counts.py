@@ -1,0 +1,109 @@
+"""
+Each subcommand computes each invariant it reports once.
+
+Every subcommand runs once through `cli.main`, with --output, on the band
+datum xab(3, 5, 3) and on the mirror plane mirror_p2(4); the catalog
+commands build their own datum. Counting wrappers replace the functions
+that carry the work (validation's `_regenerated`, elimination's `_bareiss`,
+the inverse, the kernel, the renderer, the elementary conjugation, the twist
+word and the congruence R* G R) in every module that binds them, and each
+command's counts must equal what it needs: one validation per datum it
+loads or builds, one computation of what it reports, one rendering of each
+file it writes.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+
+import pytest
+
+# The command modules are imported first, so that every name they bind is patched.
+from qlefschetz import catalog, moves, obstructions  # noqa: F401
+from qlefschetz.cli import main
+from qlefschetz.matrix import LaurentMatrix
+
+from test_cli_outputs import CASES, write_inputs
+
+FUNCTIONS = (
+    ("lefschetz", "_regenerated"),
+    ("matrix", "_bareiss"),
+    ("serialize", "dumps_canonical"),
+    ("moves", "_conjugate"),
+    ("moves", "apply_twist_word"),
+    ("matrix", "pairing_matrix"),
+)
+METHODS = ("unitriangular_inverse", "nullspace")
+
+# One datum validated (loaded or built) and one file rendered.
+ONCE = {"_regenerated": 1, "dumps_canonical": 1}
+MOVE = {"_regenerated": 2, "_conjugate": 1, "dumps_canonical": 2}
+EXPECTED = {
+    "verify": ONCE,
+    "compute-det": {**ONCE, "_bareiss": 1},
+    "compute-nullspace": {**ONCE, "_bareiss": 1, "nullspace": 1},
+    "compute-monodromy": {**ONCE, "unitriangular_inverse": 1},
+    "compute-givental": {**ONCE, "_regenerated": 2},
+    "compute-classical": {**ONCE, "_regenerated": 2, "unitriangular_inverse": 1},
+    "compute-double-cover": {"_regenerated": 2, "dumps_canonical": 2},
+    "obstruct": {**ONCE, "_bareiss": 1, "nullspace": 1},
+    "move-hurwitz": MOVE,
+    "move-hurwitz-inverse": MOVE,
+    "move-rescale": MOVE,
+    "move-shift": MOVE,
+    "twist": {**ONCE, "apply_twist_word": 1},
+    "catalog-milnor": {"_regenerated": 1, "dumps_canonical": 2},
+    "catalog-xab": {**ONCE, "pairing_matrix": 1},
+    "catalog-mirror-p2": {**ONCE, "apply_twist_word": 3, "pairing_matrix": 1},
+    "catalog-induce": {**ONCE, "_regenerated": 2, "apply_twist_word": 4, "pairing_matrix": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("count_inputs"))
+
+
+@pytest.fixture
+def counts(monkeypatch) -> Counter:
+    """Counting wrappers on every binding of the counted functions and methods."""
+    seen: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("qlefschetz.")]
+    for home, name in FUNCTIONS:
+        fn = getattr(sys.modules["qlefschetz." + home], name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    for name in METHODS:
+        monkeypatch.setattr(LaurentMatrix, name, counting(name, getattr(LaurentMatrix, name)))
+    return seen
+
+
+def command(case: str) -> str:
+    """The subcommand of a case: "xab-3-5-3_compute-det" runs "compute-det"."""
+    return case.partition("_")[2] or case
+
+
+def test_every_subcommand_is_pinned():
+    assert {command(case) for case in CASES} == EXPECTED.keys()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_subcommand_computes_each_value_once(case, paths, counts, tmp_path):
+    datum, argv = CASES[case]
+    names = dict(paths, file=paths[datum] if datum else "")
+    argv = [a.format(**names) for a in argv] + ["--output", str(tmp_path / "out.json")]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert dict(counts) == EXPECTED[command(case)]

@@ -4,7 +4,8 @@ What a fresh `qlef` process imports.
 Each check runs in a new interpreter and compares its modules with those a
 bare `python -c pass` loads, because `site` may already import some (re,
 typing and pathlib here). The command modules and the stdlib modules that
-only the old dataclass records and the rational gcd needed must stay out.
+only the old dataclass records and the rational gcd needed must stay out;
+a command loads only the command modules it runs.
 """
 
 from __future__ import annotations
@@ -64,3 +65,20 @@ def test_obstruct_loads_no_fractions(bare, fibration):
     added = modules_after(f"from qlefschetz.cli import main\nmain(['obstruct', {str(fibration)!r}])")
     assert "qlefschetz.obstructions" in added - bare
     assert not (added - bare) & STDLIB_LEFT_OUT
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["catalog", "xab", "--a", "3", "--b", "5", "--n", "3"], {"catalog", "moves"}),
+        (["twist", "{file}", "t2 t1^-1", "--target-index", "1"], {"moves"}),
+        (["move", "{file}", "hurwitz", "--k", "2"], {"moves"}),
+    ],
+    ids=["catalog xab", "twist", "move hurwitz"],
+)
+def test_catalog_twist_and_move_load_only_their_command_modules(bare, fibration, argv, loaded):
+    argv = [a.format(file=fibration) for a in argv]
+    added = modules_after(f"from qlefschetz.cli import main\nmain({argv!r})") - bare
+    expected = {"qlefschetz." + name for name in loaded}
+    assert added & COMMAND_MODULES == expected
+    assert not added & STDLIB_LEFT_OUT
