@@ -122,8 +122,9 @@ def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
     """
     The hypersurface family indexed by coprime 0 < a < b: its fibre is the
     type-A chain with a + b spheres, and the i-th vanishing cycle is the
-    window of width a starting at the i-th sphere, cyclically. The result
-    is the published cyclic band matrix.
+    window of width a starting at the i-th sphere, cyclically, whose sum
+    telescopes to e_(i+a) - e_i. The result is the published cyclic band
+    matrix.
     """
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got ({a}, {b})")
@@ -131,16 +132,9 @@ def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
         raise ValueError(f"({a}, {b}) must be coprime")
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
-    fibre = milnor_ar(a + b - 1, n)
     m = a + b
-    windows = [
-        sum(
-            (fibre.sphere_classes[(i + s) % m] for s in range(1, a)),
-            fibre.sphere_classes[i],
-        )
-        for i in range(m)
-    ]
-    return induced_total_space(fibre, n, windows)
+    windows = [KClass.basis_vector(m, (i + a) % m) - KClass.basis_vector(m, i) for i in range(m)]
+    return induced_total_space(milnor_ar(m - 1, n), n, windows)
 
 
 MIRROR_P2_WORDS: tuple[tuple[str, int], ...] = (

@@ -33,15 +33,16 @@ _NUMERAL = re.compile(r"-?[0-9]+")
 
 #: from_pairs accepts exponents e with |e| <= MAX_SPAN // 2, so every exponent
 #: window in a loaded file is at most MAX_SPAN; the dense form allocates the
-#: window. Moves can reach larger exponents in memory (rescale by q^40000), so
-#: serialize.fibration_to_obj refuses to write what from_pairs would refuse.
+#: window. Moves can reach larger exponents in memory (rescale by q^40000);
+#: serialize.fibration_to_obj asks from_pairs before writing such an entry.
 MAX_SPAN = 2**16
 
-#: from_pairs accepts coefficient strings of at most MAX_DIGITS decimal
-#: digits, below the interpreter's default int/str limit of 4300, so that a
-#: file is never slow to convert; serialize.fibration_to_obj refuses to write
-#: more. Reports have no limit (see _decimal).
+#: from_pairs accepts coefficients, integers or numeral strings, of at most
+#: MAX_DIGITS decimal digits, below the interpreter's default int/str limit of
+#: 4300, so that a file is never slow to convert; fibration_to_obj asks
+#: from_pairs too. Reports have no limit (see _decimal).
 MAX_DIGITS = 4096
+DIGITS_BOUND = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
 
 
 class ExactDivisionError(ArithmeticError):
@@ -268,9 +269,9 @@ class LaurentPoly:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int | str]]) -> LaurentPoly:
         """
-        Inverse of to_pairs; rejects bool, float, loose numerals like " 1_0",
-        numerals of more than MAX_DIGITS digits and exponents beyond
-        MAX_SPAN // 2 in absolute value.
+        Inverse of to_pairs, and the one statement of what a file entry may
+        hold: no bool, float or loose numeral like " 1_0", no coefficient of
+        more than MAX_DIGITS digits, no exponent of absolute value over MAX_SPAN // 2.
         """
         dense: list[int] = []  # coefficients from the first exponent up
         val = last = 0
@@ -278,9 +279,13 @@ class LaurentPoly:
             exp, coeff = pair
             if not _integer(exp):
                 raise ValueError(f"exponent {exp!r} is not an integer")
-            if not (type(coeff) is int or isinstance(coeff, str) and _NUMERAL.fullmatch(coeff)):
+            if isinstance(coeff, str) and _NUMERAL.fullmatch(coeff):
+                too_long = len(coeff) - coeff.startswith("-") > MAX_DIGITS  # before int()
+            elif _integer(coeff):
+                too_long = abs(coeff) >= DIGITS_BOUND  # never str() of a large int
+            else:
                 raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
-            if isinstance(coeff, str) and len(coeff) - coeff.startswith("-") > MAX_DIGITS:
+            if too_long:
                 raise ValueError(f"coefficient at exponent {exp} has more than {MAX_DIGITS} digits")
             coeff = int(coeff)
             if coeff == 0:

@@ -92,8 +92,8 @@ class LefschetzAlgebra(FrozenRecord):
     @classmethod
     def from_seifert(cls, dim: int, seifert: LaurentMatrix) -> LefschetzAlgebra:
         """Build the datum from a unitriangular S; B is what _regenerated yields."""
-        if not seifert.is_unitriangular():
-            raise ValueError("Seifert matrix must be upper-triangular with unit diagonal")
+        if (bad := seifert.unitriangular_defect()) is not None:
+            raise ValueError(f"Seifert matrix must be upper-triangular with unit diagonal: {bad}")
         m = seifert.rows
         return cls(dim, seifert, LaurentMatrix(m, m, tuple(_regenerated(dim, seifert))))
 

@@ -204,14 +204,19 @@ class LaurentMatrix(FrozenRecord):
 
     def is_unitriangular(self) -> bool:
         """Upper-triangular with every diagonal entry equal to 1."""
+        return self.unitriangular_defect() is None
+
+    def unitriangular_defect(self) -> str | None:
+        """Why the matrix is not unitriangular, naming its first bad entry 1-based; else None."""
         if not self.is_square():
-            return False
+            return f"it is {self.rows}x{self.cols}"
         one = LaurentPoly.one()
         for i in range(self.rows):
             row = self.row(i)
             if row[i] != one or any(row[:i]):
-                return False
-        return True
+                j = next((j for j in range(i) if row[j]), i)  # row-major: below the diagonal first
+                return f"entry ({i + 1}, {j + 1}) is {row[j]}"
+        return None
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
-from .laurent import MAX_DIGITS, MAX_SPAN, LaurentPoly, _decimal
+from .laurent import DIGITS_BOUND, MAX_SPAN, LaurentPoly, _decimal, _integer
 from .lefschetz import LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 
@@ -71,24 +71,24 @@ def matrix_to_obj(m: LaurentMatrix) -> dict[str, Any]:
     return _matrix_obj(m)[0]
 
 
-def _matrix_obj(m: LaurentMatrix) -> tuple[dict[str, Any], list[LaurentPoly]]:
-    """matrix_to_obj(m), and the distinct entries in order of first use."""
+def _matrix_obj(m: LaurentMatrix) -> tuple[dict[str, Any], list[tuple[int, LaurentPoly]]]:
+    """matrix_to_obj(m), and (row-major index, entry) at each entry's first use."""
     cells: dict[tuple[int, tuple[int, ...]], list[list[Any]]] = {}
-    distinct: list[LaurentPoly] = []
+    firsts: list[tuple[int, LaurentPoly]] = []
     flat = []
     for p in m.entries:
         key = (p._val, p._coeffs)  # hashed in C, unlike LaurentPoly.__hash__
         cell = cells.get(key)
         if cell is None:
             cell = cells[key] = poly_to_obj(p)
-            distinct.append(p)
+            firsts.append((len(flat), p))
         flat.append(cell)
     n = m.cols
     return {
         "rows": m.rows,
         "cols": n,
         "entries": [flat[i * n : (i + 1) * n] for i in range(m.rows)],
-    }, distinct
+    }, firsts
 
 
 def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
@@ -99,8 +99,8 @@ def matrix_from_obj(obj: Any, where: str = "matrix") -> LaurentMatrix:
             raise FileFormatError(f"{where}.{field}: missing")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     for field, size in (("rows", rows), ("cols", cols)):
-        # type(), not isinstance(), here and below: JSON true must not pass as 1.
-        if type(size) is not int or size < 0:
+        # _integer, here and below: JSON true must not pass as 1.
+        if not _integer(size) or size < 0:
             raise FileFormatError(f"{where}.{field}: expected a nonnegative integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"{where}.entries: expected {rows} rows")
@@ -127,32 +127,23 @@ def fibration_to_obj(
     alg: LefschetzAlgebra, labels: list[str] | None = None
 ) -> dict[str, Any]:
     """
-    Canonical file form (always B); an entry from_pairs would refuse is a
-    ValueError naming its first cell in row-major order, and the term
-    from_pairs would name. Each distinct entry is checked once.
+    Canonical file form (always B). A cell that LaurentPoly.from_pairs
+    would refuse on reading it back is a ValueError with from_pairs's own
+    message, naming the first such cell in row-major order.
     """
     b, bound = alg.intersection, MAX_SPAN // 2
-    matrix, distinct = _matrix_obj(b)
-
-    def refuse(p: LaurentPoly, why: str) -> ValueError:
-        i, j = divmod(b.entries.index(p), b.cols)
-        return ValueError(f"fibration.B.entries[{i}][{j}]: {why}")
-
-    for p in distinct:
-        # p's exponents run from p._val to p._val + len(p._coeffs) - 1.
-        if p._val < -bound or p._val + len(p._coeffs) > bound + 1:
-            exp = next(e for e, _ in p.items() if abs(e) > bound)
-            raise refuse(p, f"exponent {exp} exceeds {bound} in absolute value")
-    # Only a coefficient of MAX_DIGITS * 3321 // 1000 bits or more can have
-    # more than MAX_DIGITS digits (log2(10) > 3.321). One C-level pass finds
-    # whether there is one; only then does each entry take the loader's check.
-    bits = max(map(int.bit_length, chain.from_iterable([p._coeffs for p in distinct])), default=0)
-    if bits >= MAX_DIGITS * 3321 // 1000:
-        for p in distinct:
+    matrix, firsts = _matrix_obj(b)
+    # A necessary condition for a refusal (p's exponents run from p._val to
+    # p._val + len(p._coeffs) - 1); only then is each distinct cell read back.
+    wide = any(p._val < -bound or p._val + len(p._coeffs) > bound + 1 for _, p in firsts)
+    top = max(map(abs, chain.from_iterable([p._coeffs for _, p in firsts])), default=0)
+    if wide or top >= DIGITS_BOUND:
+        for k, _ in firsts:
+            i, j = divmod(k, b.cols)
             try:
-                LaurentPoly.from_pairs(p.to_pairs())
+                LaurentPoly.from_pairs(matrix["entries"][i][j])
             except ValueError as exc:
-                raise refuse(p, str(exc)) from None
+                raise ValueError(f"fibration.B.entries[{i}][{j}]: {exc}") from None
     obj: dict[str, Any] = {"n": alg.dim, "m": alg.size, "B": matrix}
     if labels is not None:
         obj["labels"] = list(labels)
@@ -169,9 +160,9 @@ def fibration_from_obj(
     """
     if not isinstance(obj, dict):
         raise FileFormatError("fibration: expected a JSON object")
-    if type(obj.get("n")) is not int:
+    if not _integer(obj.get("n")):
         raise FileFormatError("fibration.n: missing or not an integer")
-    if type(obj.get("m")) is not int or obj["m"] < 0:
+    if not _integer(obj.get("m")) or obj["m"] < 0:
         raise FileFormatError("fibration.m: missing or not a nonnegative integer")
     has_a, has_b = "A" in obj, "B" in obj
     if has_a == has_b:
@@ -234,7 +225,7 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]
             except ValueError as exc:
                 raise FileFormatError(f"classes.classes[{i}].word: {exc}") from exc
             seed = entry.get("seed")
-            if type(seed) is not int or seed < 1:
+            if not _integer(seed) or seed < 1:
                 raise FileFormatError(
                     f"classes.classes[{i}].seed: expected a 1-based generator index"
                 )

@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from qlefschetz.catalog import xab
+from qlefschetz.catalog import milnor_ar, xab
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix, gram_pairing
@@ -345,6 +345,17 @@ def band_entry(a: int, b: int, n: int, i: int, j: int) -> LaurentPoly:
     if d == a % m:
         return LaurentPoly.coerce(-1)
     return LaurentPoly.zero()
+
+
+def sphere_sum_windows(a: int, b: int, n: int) -> list[KClass]:
+    """
+    The vanishing cycles of the (a, b) family summed sphere by sphere: the
+    i-th is the sum of the a spheres of milnor_ar(a + b - 1, n) from the
+    i-th on, cyclically, where xab takes the telescoped e_(i+a) - e_i.
+    """
+    spheres = milnor_ar(a + b - 1, n).sphere_classes
+    m = a + b
+    return [sum((spheres[(i + s) % m] for s in range(1, a)), spheres[i]) for i in range(m)]
 
 
 def band_matrix(a: int, b: int, n: int) -> LaurentMatrix:

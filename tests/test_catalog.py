@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     mirror_p2_det_factors,
     mirror_p2_matrix,
     sign_of,
+    sphere_sum_windows,
 )
 
 TESTED_AB = ((1, 2), (2, 3), (2, 5), (3, 4))
@@ -70,6 +72,17 @@ def test_xab_matches_published_band_matrix():
             assert alg.seifert @ alg.seifert.unitriangular_inverse() == (
                 LaurentMatrix.identity(a + b)
             )
+
+
+def test_xab_windows_agree_with_the_sphere_sums():
+    # xab telescopes each window of spheres to e_(i+a) - e_i.
+    for n in (3, 4):
+        for b in range(2, 20):
+            for a in range(1, min(b, 21 - b)):
+                if math.gcd(a, b) == 1:
+                    fibre = milnor_ar(a + b - 1, n)
+                    expected = induced_total_space(fibre, n, sphere_sum_windows(a, b, n))
+                    assert xab(a, b, n) == expected, (a, b, n)
 
 
 def test_xab_rank_and_classical_rank_drop():
