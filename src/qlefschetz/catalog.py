@@ -96,9 +96,6 @@ def induced_total_space(
     for i, g in enumerate(generators):
         if len(g) != size:
             raise ValueError(f"generator {i + 1} has length {len(g)}, not the fibre's {size}")
-    for i, spec in enumerate(class_specs):
-        if isinstance(spec, KClass) and len(spec) != size:
-            raise ValueError(f"class {i + 1} has length {len(spec)}, not the fibre's {size}")
 
     resolved: list[KClass] = []
     for spec in class_specs:

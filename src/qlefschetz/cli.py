@@ -294,18 +294,18 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
 
     alg, _ = _load_fibration(args.file, args.n)
     result = sphere_test(alg)
-    kernel = result.kernel
+    classes = [kclass_to_obj(h) for h in result.kernel]
     generators = [
         {
-            "class": kclass_to_obj(h),
+            "class": h,
             "self_pairing": poly_to_obj(p),
             "betti_lower_bound": betti_lower_bound(p),
         }
-        for h, p in zip(kernel, result.self_pairings)
+        for h, p in zip(classes, result.self_pairings)
     ]
     report: dict[str, Any] = {
-        "kernel_rank": len(kernel),
-        "kernel": [kclass_to_obj(h) for h in kernel],
+        "kernel_rank": len(classes),
+        "kernel": classes,
         "generators": generators,
         "verdict": result.verdict.value,
         "branch": result.branch,
@@ -319,8 +319,8 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
             out.append(f"witness: {result.witness}")
         if result.reason is not None:
             out.append(f"reason: {result.reason}")
-        out.append(f"kernel rank: {len(kernel)}")
-        for h, p, g in zip(kernel, result.self_pairings, generators):
+        out.append(f"kernel rank: {len(classes)}")
+        for h, p, g in zip(result.kernel, result.self_pairings, generators):
             out.append(f"  generator {h}")
             out.append(f"    self-pairing {p}")
             out.append(f"    betti lower bound {g['betti_lower_bound']}")

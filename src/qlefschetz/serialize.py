@@ -68,20 +68,23 @@ def _parse_cells(cells: list[Any], where: str, seen: dict[bytes, LaurentPoly]) -
 
 def matrix_to_obj(m: LaurentMatrix) -> dict[str, Any]:
     """The wire form; equal entries share one list of pairs, rendered once."""
-    return _matrix_obj(m)[0]
+    matrix, firsts = _matrix_obj(m)
+    for _, p, cell in firsts:
+        cell += poly_to_obj(p)
+    return matrix
 
 
-def _matrix_obj(m: LaurentMatrix) -> tuple[dict[str, Any], list[tuple[int, LaurentPoly]]]:
-    """matrix_to_obj(m), and (row-major index, entry) at each entry's first use."""
+def _matrix_obj(m: LaurentMatrix) -> tuple[dict[str, Any], list[tuple[int, LaurentPoly, list]]]:
+    """matrix_to_obj(m) with empty cells, and (row-major index, entry, cell) per distinct entry."""
     cells: dict[tuple[int, tuple[int, ...]], list[list[Any]]] = {}
-    firsts: list[tuple[int, LaurentPoly]] = []
+    firsts: list[tuple[int, LaurentPoly, list]] = []
     flat = []
     for p in m.entries:
         key = (p._val, p._coeffs)  # hashed in C, unlike LaurentPoly.__hash__
         cell = cells.get(key)
         if cell is None:
-            cell = cells[key] = poly_to_obj(p)
-            firsts.append((len(flat), p))
+            cell = cells[key] = []
+            firsts.append((len(flat), p, cell))
         flat.append(cell)
     n = m.cols
     return {
@@ -129,21 +132,23 @@ def fibration_to_obj(
     """
     Canonical file form (always B). A cell that LaurentPoly.from_pairs
     would refuse on reading it back is a ValueError with from_pairs's own
-    message, naming the first such cell in row-major order.
+    message, naming the first such cell in row-major order before rendering any.
     """
     b, bound = alg.intersection, MAX_SPAN // 2
     matrix, firsts = _matrix_obj(b)
     # A necessary condition for a refusal (p's exponents run from p._val to
-    # p._val + len(p._coeffs) - 1); only then is each distinct cell read back.
-    wide = any(p._val < -bound or p._val + len(p._coeffs) > bound + 1 for _, p in firsts)
-    top = max(map(abs, chain.from_iterable([p._coeffs for _, p in firsts])), default=0)
+    # p._val + len(p._coeffs) - 1); only then is each distinct entry asked.
+    wide = any(p._val < -bound or p._val + len(p._coeffs) > bound + 1 for _, p, _ in firsts)
+    top = max(map(abs, chain.from_iterable([p._coeffs for _, p, _ in firsts])), default=0)
     if wide or top >= DIGITS_BOUND:
-        for k, _ in firsts:
-            i, j = divmod(k, b.cols)
+        for k, p, _ in firsts:
             try:
-                LaurentPoly.from_pairs(matrix["entries"][i][j])
+                LaurentPoly.from_pairs(p.items())
             except ValueError as exc:
+                i, j = divmod(k, b.cols)
                 raise ValueError(f"fibration.B.entries[{i}][{j}]: {exc}") from None
+    for _, p, cell in firsts:
+        cell += poly_to_obj(p)
     obj: dict[str, Any] = {"n": alg.dim, "m": alg.size, "B": matrix}
     if labels is not None:
         obj["labels"] = list(labels)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -257,3 +258,15 @@ def test_inducing_xab_hands_the_kernel_few_factor_pairs(monkeypatch):
     m = alg.size
     assert 0 < sum(pairs) <= 4 * m * m
     assert alg.intersection == band_matrix(11, 29, 4)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_induced_total_space_names_a_class_of_wrong_length(bad):
+    # The congruence R* G R states the length rule once, with the spec's
+    # 1-based index; the twist-word specs around the bad vector resolve.
+    fibre = milnor_ar(4, 4)
+    specs = [(TwistWord.parse("t2"), i) for i in range(5)]
+    specs[bad] = KClass([1, -1])
+    message = f"class {bad + 1} has length 2, not the pairing matrix's 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        induced_total_space(fibre, 4, specs)

@@ -734,3 +734,76 @@ def test_failed_parse_leaves_the_parser_usable(tmp_path, capsys):
     assert report["amount"] == 1
     code, report = run_json(capsys, ["verify", path])
     assert code == 0 and report["consistent"] is True
+
+
+@pytest.mark.parametrize(
+    "alg", [xab(2, 3, 4).double_cover()[0], xab(3, 5, 3)], ids=["cover-2-3-4", "xab-3-5-3"]
+)
+def test_obstruct_converts_each_kernel_class_once(tmp_path, capsys, monkeypatch, alg):
+    path = tmp_path / "datum.json"
+    path.write_text(dumps_canonical(fibration_to_obj(alg)), encoding="utf-8")
+    converted = []
+    convert = cli.kclass_to_obj
+    monkeypatch.setattr(cli, "kclass_to_obj", lambda h: converted.append(h) or convert(h))
+    code, report = run_json(capsys, ["obstruct", path])
+    assert code == 0
+    assert converted == alg.intersection.nullspace()
+    assert report["kernel"] == [g["class"] for g in report["generators"]]
+
+
+def test_verify_reports_labels(tmp_path, capsys):
+    labels = ["a", "b", "c", "d", "e"]
+    path = tmp_path / "labelled.json"
+    path.write_text(dumps_canonical(fibration_to_obj(xab(2, 3, 4), labels)), encoding="utf-8")
+    code, report = run_json(capsys, ["verify", path])
+    assert code == 0
+    assert report["labels"] == labels
+
+
+def write_seifert_rows(tmp_path, rows):
+    path = tmp_path / "seifert.json"
+    obj = {"n": 4, "m": len(rows), "A": {"rows": len(rows), "cols": len(rows), "entries": rows}}
+    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    return path
+
+
+def test_obstruct_table_prints_the_witness(tmp_path, capsys):
+    # S = [[1, 1 - q], [0, 1]] with n = 4: the kernel generator (1, -1)
+    # pairs to 1 + q, the spherical value itself.
+    one = [[0, "1"]]
+    path = write_seifert_rows(tmp_path, [[one, [[0, "1"], [1, "-1"]]], [[], one]])
+    code, out = run(capsys, ["obstruct", path, "--format", "table"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict: not-obstructed (witness f = 1)", "witness: 1"]
+
+
+def test_compute_classical_table_of_the_empty_datum(tmp_path, capsys):
+    path = write_seifert_rows(tmp_path, [])
+    code, out = run(capsys, ["compute", "classical", path, "--format", "table"])
+    assert code == 0
+    assert out.splitlines() == [
+        "classical Seifert matrix: (empty)",
+        "classical intersection matrix: (empty)",
+        "classical monodromy: (empty)",
+    ]
+
+
+def test_twist_generators_file_needs_generators(tmp_path, capsys):
+    generators = tmp_path / "classes.json"
+    generators.write_text(dumps_canonical({"classes": []}), encoding="utf-8")
+    path = write_xab(tmp_path)
+    argv = ["twist", path, "t1", "--target-index", 1, "--generators-file", generators]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "classes.generators: missing from generators file" in captured.err
+
+
+@pytest.mark.parametrize("index", [0, 6])
+def test_twist_target_index_out_of_range(tmp_path, capsys, index):
+    code = main(["twist", str(write_xab(tmp_path)), "t1", "--target-index", str(index)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"target index {index} out of range" in captured.err

@@ -10,11 +10,13 @@ unitriangular names its first bad entry.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlefschetz import serialize
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
 from qlefschetz.laurent import MAX_DIGITS, MAX_SPAN, LaurentPoly, q
@@ -192,3 +194,20 @@ def test_a_seifert_file_names_its_first_bad_entry(tmp_path, capsys, rows, named)
 def test_a_non_square_seifert_matrix_is_refused():
     with pytest.raises(ValueError, match="unit diagonal: it is 2x3"):
         LefschetzAlgebra.from_seifert(4, LaurentMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_the_writer_refuses_before_it_renders(monkeypatch):
+    # Rendering a 300001-digit coefficient to decimal takes seconds; the
+    # refusal is decided on the polynomials, so no cell is rendered.
+    big = 10**300000
+    rows = [[1, big + 1, big], [0, 1, big], [0, 0, 1]]
+    alg = LefschetzAlgebra.from_seifert(4, LaurentMatrix.from_rows(rows))
+    rendered = []
+    monkeypatch.setattr(serialize, "poly_to_obj", lambda p: rendered.append(p) or p.to_pairs())
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        fibration_to_obj(alg)
+    assert time.perf_counter() - start < 1
+    message = f"coefficient at exponent 0 has more than {MAX_DIGITS} digits"
+    assert str(info.value) == f"fibration.B.entries[0][1]: {message}"
+    assert rendered == []
