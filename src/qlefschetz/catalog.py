@@ -45,10 +45,6 @@ class MilnorData(FrozenRecord):
     mukai: LaurentMatrix
     sphere_classes: tuple[KClass, ...]
 
-    @property
-    def size(self) -> int:
-        return self.chain_length + 1
-
 
 def milnor_ar(r: int, n: int) -> MilnorData:
     """

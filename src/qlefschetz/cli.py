@@ -79,32 +79,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def reader(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
-        """A subcommand on a fibration file, whose n --n overrides."""
-        p = leaf(sub, name, handler, help)
-        p.add_argument("--n", type=int, default=None, help="override the file's n")
-        return p
-
-    p = reader("verify", _cmd_verify, "load a fibration file and validate it")
+    p = leaf(sub, "verify", _cmd_verify, "load a fibration file and validate it")
     p.add_argument("file")
 
-    p = reader("compute", _cmd_compute, "derive an invariant from a fibration file")
+    p = leaf(sub, "compute", _cmd_compute, "derive an invariant from a fibration file")
     p.add_argument(
         "what",
         choices=("det", "nullspace", "monodromy", "givental", "classical", "double-cover"),
     )
     p.add_argument("file")
 
-    p = reader("obstruct", _cmd_obstruct, "run the Lagrangian sphere obstruction report")
+    p = leaf(sub, "obstruct", _cmd_obstruct, "run the Lagrangian sphere obstruction report")
     p.add_argument("file")
 
-    p = reader("move", _cmd_move, "apply a basis move and write the moved file")
+    p = leaf(sub, "move", _cmd_move, "apply a basis move and write the moved file")
     p.add_argument("file")
     p.add_argument("kind", choices=("hurwitz", "hurwitz-inverse", "rescale", "shift"))
     p.add_argument("--k", type=int, required=True, help="1-based position or object")
     p.add_argument("--amount", type=int, default=1, help="weight shift for rescale")
 
-    p = reader("twist", _cmd_twist, "apply a Dehn twist word to a K-theory class")
+    p = leaf(sub, "twist", _cmd_twist, "apply a Dehn twist word to a K-theory class")
     p.add_argument("file")
     p.add_argument("word", help='e.g. "t2 t1^-1 t4", rightmost letter first, 1-based')
     p.add_argument("--target-index", type=int, default=None, help="1-based basis class")
@@ -132,9 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
 
     c = leaf(cat, "induce", _cmd_catalog_induce, "induce a total space from fibre classes")
-    c.add_argument("--fibre", required=True, help="fibration file of the fibre")
+    c.add_argument("--fibre", required=True, help="fibre file; the total space's n is its n + 1")
     c.add_argument("--classes", required=True, help="classes file for the new cycles")
-    c.add_argument("--n", type=int, required=True, help="dimension of the new total space")
 
     return parser
 
@@ -159,8 +152,8 @@ def _read_json(path: str, where: str) -> Any:
             raise FileFormatError(f"{where}: {exc}") from None
 
 
-def _load_fibration(path: str, n_override: int | None) -> tuple[LefschetzAlgebra, list[str] | None]:
-    return fibration_from_obj(_read_json(path, "fibration"), n_override)
+def _load_fibration(path: str) -> tuple[LefschetzAlgebra, list[str] | None]:
+    return fibration_from_obj(_read_json(path, "fibration"))
 
 
 def _require_length(c: KClass, size: int, where: str) -> None:
@@ -211,7 +204,7 @@ def _emit_datum(args: argparse.Namespace, alg: LefschetzAlgebra, title: str) -> 
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    alg, labels = _load_fibration(args.file, args.n)
+    alg, labels = _load_fibration(args.file)
     report: dict[str, Any] = {
         "consistent": True,
         "n": alg.dim,
@@ -233,7 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    alg, _ = _load_fibration(args.file, args.n)
+    alg, _ = _load_fibration(args.file)
     what = args.what
     if what == "det":
         value = alg.intersection.det()
@@ -292,7 +285,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_obstruct(args: argparse.Namespace) -> int:
     from .obstructions import betti_lower_bound, sphere_test
 
-    alg, _ = _load_fibration(args.file, args.n)
+    alg, _ = _load_fibration(args.file)
     result = sphere_test(alg)
     classes = [kclass_to_obj(h) for h in result.kernel]
     generators = [
@@ -332,7 +325,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
 def _cmd_move(args: argparse.Namespace) -> int:
     from .moves import hurwitz_inverse_move, hurwitz_move, rescale_object, shift_object
 
-    alg, labels = _load_fibration(args.file, args.n)
+    alg, labels = _load_fibration(args.file)
     k = args.k - 1
     transition: LaurentMatrix | None = None
     if args.kind == "hurwitz":
@@ -364,7 +357,7 @@ def _cmd_move(args: argparse.Namespace) -> int:
 def _cmd_twist(args: argparse.Namespace) -> int:
     from .moves import TwistWord, apply_twist_word
 
-    alg, _ = _load_fibration(args.file, args.n)
+    alg, _ = _load_fibration(args.file)
     word = TwistWord.parse(args.word)
     generators = [KClass.basis_vector(alg.size, i) for i in range(alg.size)]
     if args.generators_file is not None:
@@ -431,9 +424,9 @@ def _cmd_catalog_mirror(args: argparse.Namespace) -> int:
 def _cmd_catalog_induce(args: argparse.Namespace) -> int:
     from .catalog import induced_total_space
 
-    fibre, _ = _load_fibration(args.fibre, None)
+    fibre, _ = _load_fibration(args.fibre)
     generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
-    alg = induced_total_space(fibre, args.n, specs, generators)
+    alg = induced_total_space(fibre, fibre.dim + 1, specs, generators)
     return _emit_datum(args, alg, "induced intersection matrix")
 
 

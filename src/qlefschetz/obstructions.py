@@ -152,7 +152,7 @@ def independence_certificate(alg: LefschetzAlgebra, classes: list[KClass]) -> bo
     when the hypotheses fail; that signals "certificate does not apply",
     not a dependence.
     """
-    if alg.dim % 2 == 0:
+    if alg.parity_sign == 1:
         raise HypothesisError("the independence certificate needs odd parity")
     target = spherical_value(alg.dim)
     for ij, value in enumerate(pairing_matrix(alg.seifert, classes).entries):

@@ -155,13 +155,11 @@ def fibration_to_obj(
     return obj
 
 
-def fibration_from_obj(
-    obj: Any, n_override: int | None = None
-) -> tuple[LefschetzAlgebra, list[str] | None]:
+def fibration_from_obj(obj: Any) -> tuple[LefschetzAlgebra, list[str] | None]:
     """
     Parse and validate a fibration file object. Either matrix key is
-    accepted; validation of the intersection relation runs on load and
-    surfaces as ConsistencyError.
+    accepted; the algebra's n is the file's "n". Validation of the
+    intersection relation runs on load and surfaces as ConsistencyError.
     """
     if not isinstance(obj, dict):
         raise FileFormatError("fibration: expected a JSON object")
@@ -172,8 +170,7 @@ def fibration_from_obj(
     has_a, has_b = "A" in obj, "B" in obj
     if has_a == has_b:
         raise FileFormatError("fibration: exactly one of 'A' and 'B' must be present")
-    n = obj["n"] if n_override is None else n_override
-    m = obj["m"]
+    n, m = obj["n"], obj["m"]
     key = "A" if has_a else "B"
     matrix = matrix_from_obj(obj[key], f"fibration.{key}")
     if matrix.rows != m or matrix.cols != m:

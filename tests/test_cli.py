@@ -332,7 +332,7 @@ def test_catalog_xab_and_induce_agree(tmp_path, capsys):
         capsys,
         [
             "catalog", "induce", "--fibre", fibre, "--classes", classes,
-            "--n", 4, "--output", induced,
+            "--output", induced,
         ],
     )
     assert code == 0
@@ -359,7 +359,7 @@ def write_induce_inputs(tmp_path, capsys, classes, generators=None):
     if generators is not None:
         obj["generators"] = generators
     spec.write_text(dumps_canonical(obj), encoding="utf-8")
-    return ["catalog", "induce", "--fibre", fibre, "--classes", spec, "--n", 4]
+    return ["catalog", "induce", "--fibre", fibre, "--classes", spec]
 
 
 def test_catalog_induce_rejects_seed_beyond_generators(tmp_path, capsys):
@@ -471,11 +471,14 @@ def test_table_format(tmp_path, capsys):
     assert "intersection matrix" in out
 
 
-def test_n_override_flag(tmp_path, capsys):
+def test_file_n_of_wrong_parity_fails_validation(tmp_path, capsys):
     path = write_xab(tmp_path, 2, 3, 4)
-    # The file is an even-parity datum; forcing odd parity must fail
+    # The file is an even-parity datum; relabelled odd, it must fail
     # validation because the diagonal no longer matches.
-    assert main(["verify", str(path), "--n", "3"]) == 1
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["n"] = 3
+    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
 
 
 def test_twist_requires_exactly_one_target(tmp_path, capsys):
@@ -537,7 +540,7 @@ def test_deeply_nested_json_names_the_file(tmp_path, capsys, site, role, text):
         "verify": ["verify", deep],
         "target": ["twist", fibre, "t1", "--target-file", deep],
         "generators": ["twist", fibre, "t1", "--target-index", 1, "--generators-file", deep],
-        "induce": ["catalog", "induce", "--fibre", fibre, "--classes", deep, "--n", 4],
+        "induce": ["catalog", "induce", "--fibre", fibre, "--classes", deep],
     }[site]
     code = main([str(a) for a in argv])
     err = capsys.readouterr().err

@@ -16,7 +16,6 @@ from qlefschetz.cli import _build_parser
 
 FORMAT = (("--format",), "format", None, "json", False, ("json", "table"))
 OUTPUT = (("--output",), "output", None, None, False, None)
-N_OVERRIDE = (("--n",), "n", int, None, False, None)
 
 
 def required_int(name):
@@ -24,21 +23,20 @@ def required_int(name):
 
 
 CONTRACT = {
-    "verify": ([("file", None)], {N_OVERRIDE, FORMAT, OUTPUT}),
+    "verify": ([("file", None)], {FORMAT, OUTPUT}),
     "compute": (
         [
             ("what", ("det", "nullspace", "monodromy", "givental", "classical", "double-cover")),
             ("file", None),
         ],
-        {N_OVERRIDE, FORMAT, OUTPUT},
+        {FORMAT, OUTPUT},
     ),
-    "obstruct": ([("file", None)], {N_OVERRIDE, FORMAT, OUTPUT}),
+    "obstruct": ([("file", None)], {FORMAT, OUTPUT}),
     "move": (
         [("file", None), ("kind", ("hurwitz", "hurwitz-inverse", "rescale", "shift"))],
         {
             required_int("k"),
             (("--amount",), "amount", int, 1, False, None),
-            N_OVERRIDE,
             FORMAT,
             OUTPUT,
         },
@@ -49,7 +47,6 @@ CONTRACT = {
             (("--target-index",), "target_index", int, None, False, None),
             (("--target-file",), "target_file", None, None, False, None),
             (("--generators-file",), "generators_file", None, None, False, None),
-            N_OVERRIDE,
             FORMAT,
             OUTPUT,
         },
@@ -71,7 +68,6 @@ CONTRACT = {
         {
             (("--fibre",), "fibre", None, None, True, None),
             (("--classes",), "classes", None, None, True, None),
-            required_int("n"),
             FORMAT,
             OUTPUT,
         },

@@ -46,7 +46,7 @@ CASES.update(
         "catalog-mirror-p2": (None, ["catalog", "mirror-p2", "--n", "4"]),
         "catalog-induce": (
             None,
-            ["catalog", "induce", "--fibre", "{fibre}", "--classes", "{classes}", "--n", "4"],
+            ["catalog", "induce", "--fibre", "{fibre}", "--classes", "{classes}"],
         ),
     }
 )

@@ -189,7 +189,7 @@ def test_catalog_induce_command_writes_the_pairwise_matrix(tmp_path):
     out = io.StringIO()
     with redirect_stdout(out):
         argv = ["catalog", "induce", "--fibre", str(fibre_path), "--classes", str(classes_path)]
-        assert main(argv + ["--n", "4", "--format", "json"]) == 0
+        assert main(argv + ["--format", "json"]) == 0
     induced, _ = fibration_from_obj(json.loads(out.getvalue()))
     _, specs = class_specs_from_obj(spec)
     expected = pairwise_pairing_matrix(fibre.seifert, resolve(fibre, generators, specs))

@@ -1,11 +1,13 @@
 """
-The README's command-line block runs as written: every command exits 0 in
-a fresh directory, and `catalog induce` prints the datum the README says.
+The README's code runs as written. Its library quick start prints what its
+comments say. Its command-line block exits 0 in a fresh directory, and
+`catalog induce` prints the datum the README says, in either parity.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import re
 import subprocess
@@ -13,11 +15,18 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from qlefschetz.catalog import induced_total_space, milnor_ar
 from qlefschetz.cli import main
+from qlefschetz.lefschetz import LefschetzAlgebra
+from qlefschetz.serialize import class_specs_from_obj, dumps_canonical, fibration_to_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCK = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", README, re.S | re.M).group(1)
+CLASSES = re.search(r"^cat > classes.json <<'EOF'\n(.*?)^EOF", BLOCK, re.S | re.M).group(1)
+QUICK_START = re.search(
+    r"^## Library quick start\n.*?^```python\n(.*?)^```", README, re.S | re.M
+).group(1)
 # qlef as the console script runs it, without needing it installed.
 QLEF = (
     'qlef() { "$QLEF_PYTHON" -c '
@@ -28,7 +37,7 @@ QLEF = (
 def induce(directory: Path, classes: str) -> str:
     fibre, classes = str(directory / "fibre.json"), str(directory / classes)
     out = io.StringIO()
-    argv = ["catalog", "induce", "--fibre", fibre, "--classes", classes, "--n", "4"]
+    argv = ["catalog", "induce", "--fibre", fibre, "--classes", classes]
     with redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
@@ -46,3 +55,34 @@ def test_the_readme_command_block_runs(tmp_path):
     assert induce(tmp_path, "classes.json") == pinned.read_text(encoding="utf-8")
     # ... and the spheres file alone, which holds no classes, gives m = 0.
     assert '"m": 0,' in induce(tmp_path, "spheres.json")
+
+
+def test_the_readme_quick_start_prints_its_comments():
+    namespace: dict = {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(QUICK_START, namespace)
+    prints = [line for line in QUICK_START.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(prints)
+    wanted = [line.split("# ")[1] for line in prints if "# " in line]
+    assert wanted == ["1 + q", "6 + 6q", "Verdict.OBSTRUCTED"]
+    assert [got for line, got in zip(prints, printed) if "# " in line] == wanted
+    assert str(namespace["h"]) == "(1, 1, 1, 1, 1)"
+
+
+def test_the_readme_classes_induce_an_odd_total_space(tmp_path):
+    # catalog milnor --n 3 writes an n = 2 fibre; the total space is n = 3.
+    fibre_path = str(tmp_path / "fibre.json")
+    with redirect_stdout(io.StringIO()):
+        assert main(["catalog", "milnor", "--r", "4", "--n", "3", "--output", fibre_path]) == 0
+    (tmp_path / "classes.json").write_text(CLASSES, encoding="utf-8")
+    out = induce(tmp_path, "classes.json")
+    generators, specs = class_specs_from_obj(json.loads(CLASSES))
+    fibre = LefschetzAlgebra.from_seifert(2, milnor_ar(4, 3).mukai)
+    expected = fibration_to_obj(induced_total_space(fibre, 3, specs, generators))
+    assert out == dumps_canonical(expected)
+    induced = json.loads(out)
+    assert (induced["n"], induced["m"]) == (3, 5)
+    diagonal = [induced["B"]["entries"][i][i] for i in range(5)]
+    assert diagonal == [[[0, "1"], [1, "1"]]] * 5  # 1 + q

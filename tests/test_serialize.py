@@ -119,14 +119,6 @@ def test_loading_parses_each_distinct_cell_once(monkeypatch):
     assert loaded == alg
 
 
-def test_fibration_n_override():
-    alg = LefschetzAlgebra.from_seifert(4, LaurentMatrix.from_rows([[1, q], [0, 1]]))
-    obj = {"n": 4, "m": 2, "A": matrix_to_obj(alg.seifert)}
-    overridden, _ = fibration_from_obj(obj, n_override=3)
-    assert overridden.dim == 3
-    assert overridden.intersection[1, 0] == q * q.star() * 1  # q * star(q) = 1
-
-
 def test_fibration_schema_errors():
     alg = LefschetzAlgebra.from_seifert(4, LaurentMatrix.identity(2))
     good = fibration_to_obj(alg)
