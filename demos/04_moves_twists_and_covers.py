@@ -56,7 +56,7 @@ print("twist along itself:", dehn_twist_class(cover.seifert, s0, s0))
 
 # The matching spheres' Gram matrix is a valid intersection datum one
 # dimension up: dimensional induction closes the loop.
-lifted = induced_total_space(cover, alg.dim + 1, matching)
+lifted = induced_total_space(cover, matching)
 print("\ninduced next-level algebra has the same Seifert matrix:",
       lifted.seifert == alg.seifert)
 print("its diagonal self-pairings:",

@@ -67,7 +67,6 @@ def milnor_ar(r: int, n: int) -> MilnorData:
 
 def induced_total_space(
     fibre: MilnorData | LefschetzAlgebra,
-    n: int,
     class_specs: Sequence[ClassSpec],
     generators: Sequence[KClass] | None = None,
 ) -> LefschetzAlgebra:
@@ -75,23 +74,20 @@ def induced_total_space(
     Run one step of the dimensional induction: resolve each class spec to
     a K-theory class of the fibre, pair the resolved classes as R* G R (R
     their columns, G the fibre's pairing matrix), and validate the result
-    as the intersection matrix of a parity-n total space. A spec is a class
-    or (twist word, seed index); the word acts with the fibre's parity
-    n - 1 on that generator. The generators default to the Milnor fibre's
-    spheres or the algebra's thimble basis. An inconsistent result (for a
-    wrongly ordered collection, say) is a ConsistencyError of the validation.
+    as the intersection matrix of the total space, whose n the fibre fixes:
+    a Milnor fibre's dim, an algebra fibre's dim + 1. A spec is a class or
+    (twist word, seed index); the word acts with the fibre's parity n - 1
+    on that generator. The generators default to the Milnor fibre's spheres
+    or the algebra's thimble basis. An inconsistent result (for a wrongly
+    ordered collection, say) is a ConsistencyError of the validation.
     """
     if isinstance(fibre, MilnorData):
-        gram = fibre.mukai
+        n, gram = fibre.dim, fibre.mukai
         default = fibre.sphere_classes
     else:
-        gram = fibre.seifert
+        n, gram = fibre.dim + 1, fibre.seifert
         default = [KClass.basis_vector(fibre.size, k) for k in range(fibre.size)]
     generators = list(default if generators is None else generators)
-    size = gram.rows
-    for i, g in enumerate(generators):
-        if len(g) != size:
-            raise ValueError(f"generator {i + 1} has length {len(g)}, not the fibre's {size}")
 
     resolved: list[KClass] = []
     for spec in class_specs:
@@ -127,7 +123,7 @@ def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
         raise ValueError(f"the induction needs n >= 3, got {n}")
     m = a + b
     windows = [KClass.basis_vector(m, (i + a) % m) - KClass.basis_vector(m, i) for i in range(m)]
-    return induced_total_space(milnor_ar(m - 1, n), n, windows)
+    return induced_total_space(milnor_ar(m - 1, n), windows)
 
 
 MIRROR_P2_WORDS: tuple[tuple[str, int], ...] = (
@@ -147,4 +143,4 @@ def mirror_p2(n: int) -> LefschetzAlgebra:
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
     specs = [(TwistWord.parse(word), seed) for word, seed in MIRROR_P2_WORDS]
-    return induced_total_space(milnor_ar(3, n), n, specs)
+    return induced_total_space(milnor_ar(3, n), specs)

@@ -101,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "twist", _cmd_twist, "apply a Dehn twist word to a K-theory class")
     p.add_argument("file")
     p.add_argument("word", help='e.g. "t2 t1^-1 t4", rightmost letter first, 1-based')
-    p.add_argument("--target-index", type=int, default=None, help="1-based basis class")
-    p.add_argument("--target-file", default=None, help="JSON file with a class vector")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target-index", type=int, default=None, help="1-based basis class")
+    target.add_argument("--target-file", default=None, help="JSON file with a class vector")
     p.add_argument(
         "--generators-file",
         default=None,
@@ -154,11 +155,6 @@ def _read_json(path: str, where: str) -> Any:
 
 def _load_fibration(path: str) -> tuple[LefschetzAlgebra, list[str] | None]:
     return fibration_from_obj(_read_json(path, "fibration"))
-
-
-def _require_length(c: KClass, size: int, where: str) -> None:
-    if len(c) != size:
-        raise FileFormatError(f"{where}: length {len(c)}, not the fibre's {size}")
 
 
 def _emit(
@@ -361,14 +357,10 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     word = TwistWord.parse(args.word)
     generators = [KClass.basis_vector(alg.size, i) for i in range(alg.size)]
     if args.generators_file is not None:
-        parsed, _specs = class_specs_from_obj(_read_json(args.generators_file, "classes"))
+        parsed, _ = class_specs_from_obj(_read_json(args.generators_file, "classes"), alg.size)
         if parsed is None:
             raise FileFormatError("classes.generators: missing from generators file")
-        for i, g in enumerate(parsed):
-            _require_length(g, alg.size, f"classes.generators[{i}]")
         generators = parsed
-    if (args.target_index is None) == (args.target_file is None):
-        raise FileFormatError("twist needs exactly one of --target-index/--target-file")
     if args.target_index is not None:
         if not 1 <= args.target_index <= alg.size:
             raise IndexError(f"target index {args.target_index} out of range")
@@ -378,8 +370,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
         if isinstance(obj, dict) and "vector" not in obj:
             raise FileFormatError("target.vector: missing")
         where = "target.vector" if isinstance(obj, dict) else "target"
-        target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj, where)
-        _require_length(target, alg.size, where)
+        target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj, where, alg.size)
     result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}
     return _emit(args, report, lambda: [f"word: {word}", f"class: {result}"])
@@ -425,8 +416,8 @@ def _cmd_catalog_induce(args: argparse.Namespace) -> int:
     from .catalog import induced_total_space
 
     fibre, _ = _load_fibration(args.fibre)
-    generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"))
-    alg = induced_total_space(fibre, fibre.dim + 1, specs, generators)
+    generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"), fibre.size)
+    alg = induced_total_space(fibre, specs, generators)
     return _emit_datum(args, alg, "induced intersection matrix")
 
 

@@ -88,7 +88,7 @@ def hurwitz_move(alg: LefschetzAlgebra, k: int) -> tuple[LefschetzAlgebra, Laure
     matrix C with new Seifert = C* S C; its block at (k, k) is
     [[-beta, 1], [1, 0]] with beta = S[k, k+1].
     """
-    _checked_position(alg, k)
+    _checked("move position", k, alg.size - 1)
     beta = alg.seifert[k, k + 1]
     return _conjugate(alg, k, [[-beta, 1], [1, 0]])
 
@@ -103,7 +103,7 @@ def hurwitz_inverse_move(
     algebra the forward move would have come from; its block at (k, k) is
     [[0, 1], [1, -star(beta)]] with beta = S[k, k+1].
     """
-    _checked_position(alg, k)
+    _checked("move position", k, alg.size - 1)
     beta = alg.seifert[k, k + 1]
     return _conjugate(alg, k, [[0, 1], [1, -beta.star()]])
 
@@ -115,7 +115,7 @@ def rescale_object(alg: LefschetzAlgebra, k: int, shift: int) -> LefschetzAlgebr
     matrix this conjugates by diag(1, ..., q^shift, ..., 1) under the
     star-transpose on the left.
     """
-    _checked_index(alg, k)
+    _checked("object index", k, alg.size)
     return _conjugate(alg, k, [[LaurentPoly.monomial(1, shift)]])[0]
 
 
@@ -124,7 +124,7 @@ def shift_object(alg: LefschetzAlgebra, k: int) -> LefschetzAlgebra:
     Shift the grading of the k-th object: every pairing involving it once
     flips sign, its self-pairing is untouched. An involution.
     """
-    _checked_index(alg, k)
+    _checked("object index", k, alg.size)
     return _conjugate(alg, k, [[-1]])[0]
 
 
@@ -161,14 +161,10 @@ def _conjugate(
     return LefschetzAlgebra.from_seifert(alg.dim, seifert), LaurentMatrix(m, m, tuple(c))
 
 
-def _checked_position(alg: LefschetzAlgebra, k: int) -> None:
-    if not 0 <= k <= alg.size - 2:
-        raise IndexError(f"move position {k} out of range for {alg.size} cycles")
-
-
-def _checked_index(alg: LefschetzAlgebra, k: int) -> None:
-    if not 0 <= k < alg.size:
-        raise IndexError(f"object index {k} out of range for {alg.size} cycles")
+def _checked(what: str, k: int, count: int) -> None:
+    """Refuse a 0-based k outside range(count), naming it and the range from 1."""
+    if not 0 <= k < count:
+        raise IndexError(f"{what} {k + 1} is not among 1..{max(count, 0)} (numbered from 1)")
 
 
 # -- twists on classes --------------------------------------------------------

@@ -120,10 +120,14 @@ def kclass_to_obj(k: KClass) -> list[list[Any]]:
     return [poly_to_obj(c) for c in k.coords]
 
 
-def kclass_from_obj(obj: Any, where: str = "class") -> KClass:
+def kclass_from_obj(obj: Any, where: str, size: int) -> KClass:
+    """A class from a file: each cell parsed, then its length held to the fibre's size."""
     if not isinstance(obj, list):
         raise FileFormatError(f"{where}: expected an array of polynomials")
-    return KClass(_parse_cells(obj, where, {}))
+    coords = _parse_cells(obj, where, {})
+    if len(coords) != size:
+        raise FileFormatError(f"{where}: length {len(coords)}, not the fibre's {size}")
+    return KClass(coords)
 
 
 def fibration_to_obj(
@@ -190,13 +194,13 @@ def fibration_from_obj(obj: Any) -> tuple[LefschetzAlgebra, list[str] | None]:
     return alg, labels
 
 
-def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]]:
+def class_specs_from_obj(obj: Any, size: int) -> tuple[list[KClass] | None, list[ClassSpec]]:
     """
-    Parse a classes file: an optional "generators" array of classes, and a
-    "classes" array whose entries are either {"vector": ...} or
-    {"word": "t2 t1^-1", "seed": k} with a 1-based generator index.
-    Word entries are returned as (TwistWord, 0-based seed index), the spec
-    form that induced_total_space resolves against the fibre.
+    Parse a classes file for a fibre of `size` objects: optional "generators"
+    and a "classes" array of {"vector": ...} or {"word": "t2 t1^-1", "seed": k}
+    entries, k a 1-based generator index. Word entries are returned as
+    (TwistWord, 0-based seed index), the spec form that induced_total_space
+    resolves against the fibre.
     """
     from .moves import TwistWord
 
@@ -207,7 +211,7 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]
         if not isinstance(obj["generators"], list):
             raise FileFormatError("classes.generators: expected an array")
         generators = [
-            kclass_from_obj(g, f"classes.generators[{i}]")
+            kclass_from_obj(g, f"classes.generators[{i}]", size)
             for i, g in enumerate(obj["generators"])
         ]
     entries = obj.get("classes", [])
@@ -218,7 +222,7 @@ def class_specs_from_obj(obj: Any) -> tuple[list[KClass] | None, list[ClassSpec]
         if not isinstance(entry, dict):
             raise FileFormatError(f"classes.classes[{i}]: expected an object")
         if "vector" in entry:
-            specs.append(kclass_from_obj(entry["vector"], f"classes.classes[{i}].vector"))
+            specs.append(kclass_from_obj(entry["vector"], f"classes.classes[{i}].vector", size))
         elif "word" in entry:
             if not isinstance(entry["word"], str):
                 raise FileFormatError(f"classes.classes[{i}].word: expected a string")

@@ -82,7 +82,7 @@ def test_xab_windows_agree_with_the_sphere_sums():
             for a in range(1, min(b, 21 - b)):
                 if math.gcd(a, b) == 1:
                     fibre = milnor_ar(a + b - 1, n)
-                    expected = induced_total_space(fibre, n, sphere_sum_windows(a, b, n))
+                    expected = induced_total_space(fibre, sphere_sum_windows(a, b, n))
                     assert xab(a, b, n) == expected, (a, b, n)
 
 
@@ -190,12 +190,12 @@ def test_induced_total_space_reproduces_generators():
             fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5]
             for i in range(5)
         ]
-        assert induced_total_space(fibre, n, windows) == xab(2, 3, n)
+        assert induced_total_space(fibre, windows) == xab(2, 3, n)
         words = [
             (TwistWord.parse(word), seed)
             for word, seed in (("t2", 0), ("t2^-1 t1", 3), ("t3 t1", 1))
         ]
-        assert induced_total_space(milnor_ar(3, n), n, words) == mirror_p2(n)
+        assert induced_total_space(milnor_ar(3, n), words) == mirror_p2(n)
 
 
 def test_induced_total_space_from_double_cover_matching_classes():
@@ -203,7 +203,7 @@ def test_induced_total_space_from_double_cover_matching_classes():
     for n in (3, 4):
         alg = xab(1, 2, n)
         cover, matching = alg.double_cover()
-        lifted = induced_total_space(cover, n + 1, matching)
+        lifted = induced_total_space(cover, matching)
         target = 1 + LaurentPoly.monomial(sign_of(n), 1)
         for k in range(alg.size):
             assert lifted.intersection[k, k] == target
@@ -220,7 +220,7 @@ def test_induced_total_space_rejects_non_spherical_class():
     ]
     bad = [KClass.basis_vector(5, 0)] + windows[1:]
     with pytest.raises(ConsistencyError):
-        induced_total_space(fibre, 4, bad)
+        induced_total_space(fibre, bad)
 
 
 def test_twist_word_route_of_first_band_cycle():
@@ -234,8 +234,8 @@ def test_twist_word_route_of_first_band_cycle():
             fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5]
             for i in range(5)
         ]
-        via_word = induced_total_space(fibre, n, [spec] + windows[1:])
-        via_class = induced_total_space(fibre, n, [direct] + windows[1:])
+        via_word = induced_total_space(fibre, [spec] + windows[1:])
+        via_class = induced_total_space(fibre, [direct] + windows[1:])
         assert via_word == via_class == xab(2, 3, n)
 
 
@@ -269,4 +269,24 @@ def test_induced_total_space_names_a_class_of_wrong_length(bad):
     specs[bad] = KClass([1, -1])
     message = f"class {bad + 1} has length 2, not the pairing matrix's 5"
     with pytest.raises(ValueError, match=re.escape(message)):
-        induced_total_space(fibre, 4, specs)
+        induced_total_space(fibre, specs)
+
+
+@pytest.mark.parametrize(
+    "word, seed, message",
+    [
+        ("t2", 0, "class lengths 2, 5 do not fit a 5x5 pairing matrix"),
+        ("t1", 1, "class lengths 5, 2 do not fit a 5x5 pairing matrix"),
+        ("", 1, "class 1 has length 2, not the pairing matrix's 5"),
+    ],
+    ids=["twist-letter", "seed", "seed-of-empty-word"],
+)
+def test_induced_total_space_refuses_a_used_generator_of_wrong_length(word, seed, message):
+    # A spec that uses the short generator 2, as a twist letter or as a
+    # seed, is refused by the pairing; one that does not use it resolves.
+    fibre = milnor_ar(4, 4)
+    generators = list(fibre.sphere_classes)
+    generators[1] = KClass([1, -1])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        induced_total_space(fibre, [(TwistWord.parse(word), seed)], generators)
+    assert induced_total_space(fibre, [(TwistWord.parse("t1"), 0)], generators).size == 1

@@ -254,6 +254,23 @@ def test_move_bad_position(tmp_path, capsys):
     assert main(["move", str(path), "hurwitz", "--k", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, k, message",
+    [
+        ("hurwitz", 0, "move position 0 is not among 1..4 (numbered from 1)"),
+        ("hurwitz", 5, "move position 5 is not among 1..4 (numbered from 1)"),
+        ("shift", 6, "object index 6 is not among 1..5 (numbered from 1)"),
+    ],
+)
+def test_move_names_the_position_as_typed(tmp_path, capsys, kind, k, message):
+    # The 5-cycle file has Hurwitz positions 1..4 and objects 1..5.
+    code = main(["move", str(write_xab(tmp_path)), kind, "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_twist_basis_target(tmp_path, capsys):
     # In the double cover of the single-cycle datum, twisting the lift of
     # the second thimble along the matching sphere reflects its class.
@@ -385,8 +402,10 @@ FIRST_SPHERE = [poly_to_obj(c) for c in milnor_ar(4, 4).sphere_classes[0].coords
 @pytest.mark.parametrize(
     "classes, generators, message",
     [
-        ([{"word": "t1", "seed": 1}], [FIRST_SPHERE, [[[0, "1"]]]], "generator 2 has length 1"),
-        ([{"word": "t2", "seed": 1}, {"vector": [[[0, "1"]]]}], None, "class 2 has length 1"),
+        ([{"word": "t1", "seed": 1}], [FIRST_SPHERE, [[[0, "1"]]]],
+         "classes.generators[1]: length 1, not the fibre's 5"),
+        ([{"word": "t2", "seed": 1}, {"vector": [[[0, "1"]]]}], None,
+         "classes.classes[1].vector: length 1, not the fibre's 5"),
     ],
     ids=["generator", "class"],
 )
@@ -483,21 +502,10 @@ def test_file_n_of_wrong_parity_fails_validation(tmp_path, capsys):
 
 def test_twist_requires_exactly_one_target(tmp_path, capsys):
     path = write_xab(tmp_path)
-    assert main(["twist", str(path), "t1"]) == 2
-    assert (
-        main(
-            [
-                "twist",
-                str(path),
-                "t1",
-                "--target-index",
-                "1",
-                "--target-file",
-                str(path),
-            ]
-        )
-        == 2
-    )
+    for targets in ([], ["--target-index", "1", "--target-file", str(path)]):
+        with pytest.raises(SystemExit) as info:
+            main(["twist", str(path), "t1"] + targets)
+        assert info.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -572,6 +580,22 @@ def test_twist_names_generator_of_wrong_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "classes.generators[1]: length 1, not the fibre's 5" in err
+
+
+def test_twist_generators_file_holds_its_vectors_to_the_fibre_length(tmp_path, capsys):
+    # One classes-file rule for `twist` and `catalog induce`: every vector,
+    # used or not, has the fibre's length.
+    path = write_xab(tmp_path)
+    basis = [[[[0, "1"]] if i == j else [] for j in range(5)] for i in range(5)]
+    generators = tmp_path / "generators.json"
+    obj = {"generators": basis, "classes": [{"vector": [[[0, "1"]]]}]}
+    generators.write_text(dumps_canonical(obj), encoding="utf-8")
+    argv = ["twist", path, "t1", "--target-index", 1, "--generators-file", generators]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "classes.classes[0].vector: length 1, not the fibre's 5" in captured.err
 
 
 def write_big_corner(tmp_path, digits):

@@ -10,6 +10,7 @@ ConsistencyError are ValueErrors), which the command line maps to exit 2 or
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from qlefschetz.serialize import (
 
 bounded = settings(deadline=None, max_examples=100)
 
-LOADERS = (fibration_from_obj, class_specs_from_obj, matrix_from_obj)
+LOADERS = (fibration_from_obj, partial(class_specs_from_obj, size=3), matrix_from_obj)
 
 scalars = st.one_of(
     st.none(),
@@ -151,4 +152,4 @@ def test_valid_files_load():
     fibration_from_obj(VALID_FILES[1])
     fibration_from_obj(VALID_FILES[2])
     matrix_from_obj(VALID_FILES[3])
-    class_specs_from_obj(VALID_FILES[4])
+    class_specs_from_obj(VALID_FILES[4], 3)

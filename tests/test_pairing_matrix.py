@@ -168,11 +168,11 @@ word_specs = st.lists(
 def test_induce_with_word_specs_is_the_pairwise_matrix(entries):
     fibre, generators = induce_fixture()
     obj = {"generators": [kclass_to_obj(g) for g in generators], "classes": entries}
-    parsed, specs = class_specs_from_obj(obj)
+    parsed, specs = class_specs_from_obj(obj, 5)
     resolved = resolve(fibre, parsed, specs)
     expected = pairwise_pairing_matrix(fibre.seifert, resolved)
     assert pairing_matrix(fibre.seifert, resolved) == expected
-    induced = induced_total_space(fibre, 4, specs, parsed)
+    induced = induced_total_space(fibre, specs, parsed)
     assert induced == LefschetzAlgebra.from_intersection(4, expected)
 
 
@@ -191,7 +191,7 @@ def test_catalog_induce_command_writes_the_pairwise_matrix(tmp_path):
         argv = ["catalog", "induce", "--fibre", str(fibre_path), "--classes", str(classes_path)]
         assert main(argv + ["--format", "json"]) == 0
     induced, _ = fibration_from_obj(json.loads(out.getvalue()))
-    _, specs = class_specs_from_obj(spec)
+    _, specs = class_specs_from_obj(spec, 5)
     expected = pairwise_pairing_matrix(fibre.seifert, resolve(fibre, generators, specs))
     assert induced.intersection == expected
 

@@ -78,9 +78,9 @@ def test_the_readme_classes_induce_an_odd_total_space(tmp_path):
         assert main(["catalog", "milnor", "--r", "4", "--n", "3", "--output", fibre_path]) == 0
     (tmp_path / "classes.json").write_text(CLASSES, encoding="utf-8")
     out = induce(tmp_path, "classes.json")
-    generators, specs = class_specs_from_obj(json.loads(CLASSES))
+    generators, specs = class_specs_from_obj(json.loads(CLASSES), 5)
     fibre = LefschetzAlgebra.from_seifert(2, milnor_ar(4, 3).mukai)
-    expected = fibration_to_obj(induced_total_space(fibre, 3, specs, generators))
+    expected = fibration_to_obj(induced_total_space(fibre, specs, generators))
     assert out == dumps_canonical(expected)
     induced = json.loads(out)
     assert (induced["n"], induced["m"]) == (3, 5)

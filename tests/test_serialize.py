@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_kclass_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         v = rand_kclass(rng, rng.randint(1, 5))
-        assert kclass_from_obj(kclass_to_obj(v)) == v
+        assert kclass_from_obj(kclass_to_obj(v), "class", len(v)) == v
 
 
 def test_fibration_roundtrip_and_labels():
@@ -158,14 +159,14 @@ def test_class_specs_parsing():
     generators = [KClass([1, 0]), KClass([0, 1])]
     obj = classes_to_obj(generators, [KClass([1, -1])])
     obj["classes"].append({"word": "t2 t1^-1", "seed": 1})
-    parsed_gens, specs = class_specs_from_obj(obj)
+    parsed_gens, specs = class_specs_from_obj(obj, 2)
     assert parsed_gens == generators
     assert specs[0] == KClass([1, -1])
     assert specs[1] == (TwistWord.parse("t2 t1^-1"), 0)
     with pytest.raises(FileFormatError):
-        class_specs_from_obj({"classes": [{"word": "t1", "seed": 0}]})
+        class_specs_from_obj({"classes": [{"word": "t1", "seed": 0}]}, 2)
     with pytest.raises(FileFormatError):
-        class_specs_from_obj({"classes": [{}]})
+        class_specs_from_obj({"classes": [{}]}, 2)
 
 
 UNIT_FILE = {"n": 4, "m": 1, "A": {"rows": 1, "cols": 1, "entries": [[[[0, "1"]]]]}}
@@ -188,7 +189,7 @@ def corner_file(coeff):
          "fibration.A.cols"),
         (matrix_from_obj, {"rows": True, "cols": True, "entries": [[[[0, "1"]]]]},
          "matrix.rows"),
-        (class_specs_from_obj, {"classes": [{"word": "t1", "seed": True}]},
+        (partial(class_specs_from_obj, size=1), {"classes": [{"word": "t1", "seed": True}]},
          "classes.classes[0].seed"),
         (fibration_from_obj, corner_file(True), "fibration.A.entries[0][1]"),
         (fibration_from_obj, corner_file(1.5), "fibration.A.entries[0][1]"),
