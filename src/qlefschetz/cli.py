@@ -351,7 +351,7 @@ def _cmd_move(args: argparse.Namespace) -> int:
 
 
 def _cmd_twist(args: argparse.Namespace) -> int:
-    from .moves import TwistWord, apply_twist_word
+    from .moves import TwistWord, _checked, apply_twist_word
 
     alg, _ = _load_fibration(args.file)
     word = TwistWord.parse(args.word)
@@ -362,8 +362,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
             raise FileFormatError("classes.generators: missing from generators file")
         generators = parsed
     if args.target_index is not None:
-        if not 1 <= args.target_index <= alg.size:
-            raise IndexError(f"target index {args.target_index} out of range")
+        _checked("target index", args.target_index - 1, alg.size)
         target = KClass.basis_vector(alg.size, args.target_index - 1)
     else:
         obj = _read_json(args.target_file, "target")

@@ -389,24 +389,34 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
     return p
 
 
+def _canonical(val: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+    """The kernel's constructor: sum of coeffs[i] q^(val + i), coeffs already trimmed."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._val, p._coeffs = val, coeffs
+    return p
+
+
 _ZERO, _ONE = _poly(0, ()), _poly(0, (1,))
 
 
 def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly) -> LaurentPoly:
     """
     (x1 * y1 + x2 * y2 + ...) / d over the factor pairs (x, y) in one pass:
-    every product is convolved into one integer buffer, which is
-    long-divided by d in place, and one polynomial is built. Pairs with a
-    zero factor are skipped. This is the ring's one kernel: each entry of a
-    matrix product and each dot product (d = 1), the product x * y (one
-    pair, d = 1), the exact quotient x / d (one pair x * 1) and the update
-    step of fraction-free elimination (two pairs). Raises
-    ExactDivisionError when d does not divide the sum.
+    every product is convolved into one integer buffer, which is divided by
+    d in place, and one polynomial is built. Pairs with a zero factor are
+    skipped. This is the ring's one kernel: each entry of a matrix product
+    and each dot product (d = 1), the product x * y (one pair, d = 1), the
+    exact quotient x / d (one pair x * 1) and the update step of
+    fraction-free elimination (two pairs). Raises ExactDivisionError when d
+    does not divide the sum.
 
     A single product x * y / q^j with a monomial factor c q^k is the other
     factor, scaled by c unless c = 1 and shifted by k - j; it needs no
     buffer and no trimming, since a product of canonical factors is
-    canonical.
+    canonical. Otherwise the buffer is trimmed once. A monomial divisor
+    c q^k divides it coefficient by coefficient, any other divisor by long
+    division; either way an exact quotient of the trimmed buffer is already
+    trimmed, so the result is built without a second scan.
 
     >>> one = LaurentPoly.one()
     >>> _cross_div([(q, q), (-one, one)], q - 1)      # (q^2 - 1) / (q - 1)
@@ -439,10 +449,7 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
         return _ZERO
     if len(terms) == 1 and len(terms[0][1]) == 1 and den == (1,):
         _, (c,), rest = terms[0]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r._val = val - d._val
-        r._coeffs = rest if c == 1 else tuple([c * y for y in rest])
-        return r
+        return _canonical(val - d._val, rest if c == 1 else tuple([c * y for y in rest]))
     buf = [0] * (top - val)
     for lo, xc, yc in terms:
         k = lo - val
@@ -453,32 +460,44 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
                     buf[j] += x * y
                     j += 1
             k += 1
-    n, lead = len(den), den[-1]
-    if n == 1 and lead == 1:
-        # Division by q^k only shifts exponents; every product ends here.
-        return _poly(val - d._val, buf)
     lo, hi = 0, len(buf)
     while lo < hi and not buf[lo]:
         lo += 1
     while hi > lo and not buf[hi - 1]:
         hi -= 1
-    # Long division from the top. Each quotient coefficient overwrites the
-    # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
-    # buf[lo : lo + n - 1] as the remainder.
-    low = den[:-1]
-    for i in range(hi - n, lo - 1, -1):
-        c, r = divmod(buf[i + n - 1], lead)
-        if r:
-            break
-        if c:
-            j = i
-            for v in low:
-                buf[j] -= c * v
-                j += 1
-        buf[i + n - 1] = c
+    if lo == hi:
+        return _ZERO
+    n, lead = len(den), den[-1]
+    if n == 1:
+        # A monomial c q^k divides coefficient by coefficient, and c = +-1
+        # always divides; every product ends here.
+        val += lo - d._val
+        if lead == 1:
+            return _canonical(val, tuple(buf[lo:hi]))
+        if lead == -1:
+            return _canonical(val, tuple([-x for x in buf[lo:hi]]))
+        if not any(x % lead for x in buf[lo:hi]):
+            return _canonical(val, tuple([x // lead for x in buf[lo:hi]]))
     else:
-        if not any(buf[lo : lo + n - 1]):
-            return _poly(val + lo - d._val, buf[lo + n - 1 : hi])
+        # Long division from the top. Each quotient coefficient overwrites the
+        # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
+        # buf[lo : lo + n - 1] as the remainder. An exact quotient of a trimmed
+        # sum by a trimmed divisor is trimmed: its end coefficients are the
+        # sum's divided by the divisor's.
+        low = den[:-1]
+        for i in range(hi - n, lo - 1, -1):
+            c, r = divmod(buf[i + n - 1], lead)
+            if r:
+                break
+            if c:
+                j = i
+                for v in low:
+                    buf[j] -= c * v
+                    j += 1
+            buf[i + n - 1] = c
+        else:
+            if not any(buf[lo : lo + n - 1]):
+                return _canonical(val + lo - d._val, tuple(buf[lo + n - 1 : hi]))
     raise ExactDivisionError(f"{d} does not divide {_cross_div(pairs, _ONE)}")
 
 

@@ -5,9 +5,11 @@ Matrices are dense and immutable; a product walks only the nonzero entries
 of each factor, row by row. Determinants, ranks and nullspaces are computed
 by fraction-free elimination in the Bareiss style, and kernel vectors by
 fraction-free back-substitution: every intermediate entry is a minor of the
-input and every division is exact. Each update is one call of the ring's one
-kernel laurent._cross_div; elimination skips updates that cannot change a
-value and keeps a denominator per row, so rows with a zero head are never
+input and every division is exact. Only the distinct rows are eliminated: a
+repeated row, such as each bottom row of a double cover's [[B, B], [B, B]],
+adds no equation. Each update is one call of the ring's one kernel
+laurent._cross_div; elimination skips updates that cannot change a value
+and keeps a denominator per row, so rows with a zero head are never
 rescaled (see _bareiss). Nullspace vectors are returned as primitive
 K-theory classes: the gcd of the entries divided out (laurent_gcd, a
 primitive remainder sequence over Z) and the unit ambiguity (+-q^k) fixed
@@ -287,27 +289,34 @@ class LaurentMatrix(FrozenRecord):
     def det(self) -> LaurentPoly:
         """
         Exact determinant by fraction-free elimination. An empty 0x0 matrix
-        has determinant 1.
+        has determinant 1, and a matrix with a repeated row has determinant
+        0 without any elimination.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        work, pivot_cols, sign = _bareiss(self.to_rows())
+        rows = _distinct_rows(self)
+        if len(rows) < self.rows:
+            return LaurentPoly.zero()
+        work, pivot_cols, sign = _bareiss(rows)
         if len(pivot_cols) < self.rows:
             return LaurentPoly.zero()
         last = work[self.rows - 1][pivot_cols[-1]] if self.rows else LaurentPoly.one()
         return -last if sign < 0 else last
 
     def rank(self) -> int:
-        """Rank over the fraction field Q(q)."""
-        _, pivot_cols, _ = _bareiss(self.to_rows())
+        """Rank over the fraction field Q(q), eliminating the distinct rows only."""
+        _, pivot_cols, _ = _bareiss(_distinct_rows(self))
         return len(pivot_cols)
 
     def nullspace(self) -> list[KClass]:
         """
         A basis of the right nullspace over Q(q), one canonical primitive
-        vector per free column, each satisfying self @ v == 0 exactly.
+        vector per free column, each satisfying self @ v == 0 exactly. Only
+        the distinct rows are eliminated: a repeated row adds no equation,
+        so the pivot columns and the kernel vector of each free column (the
+        one vanishing at the other free columns) are those of all the rows.
         """
-        work, pivot_cols, _ = _bareiss(self.to_rows())
+        work, pivot_cols, _ = _bareiss(_distinct_rows(self))
         basis: list[KClass] = []
         k = 0  # pivots left of the current column
         for free in range(self.cols):
@@ -384,6 +393,15 @@ def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
     return _cross_div(list(zip(xs, ys)), LaurentPoly.one())
 
 
+def _distinct_rows(matrix: LaurentMatrix) -> list[list[LaurentPoly]]:
+    """The rows of matrix without repeats, each kept where it first occurs."""
+    rows: dict[tuple[tuple[int, tuple[int, ...]], ...], list[LaurentPoly]] = {}
+    for i in range(matrix.rows):
+        row = matrix.row(i)
+        rows.setdefault(tuple([(p._val, p._coeffs) for p in row]), list(row))
+    return list(rows.values())
+
+
 def _back_substitute(
     rows: Sequence[Sequence[LaurentPoly]], pivot_cols: Sequence[int], x: list[LaurentPoly]
 ) -> None:
@@ -426,6 +444,10 @@ def _bareiss(
     the minors short; a stale candidate's span is counted as if up to date.
     The choice changes no result, since the matrix fixes the pivot columns,
     the determinant and the kernel vector of each free column.
+
+    Zero tests read the coefficient tuple rather than make a Python-level
+    call of LaurentPoly.__bool__, and the pivot row's nonzero flags are
+    built once per step.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -438,7 +460,7 @@ def _bareiss(
     for c in range(ncols):
         if r >= nrows:
             break
-        candidates = [i for i in range(r, nrows) if work[i][c]]
+        candidates = [i for i in range(r, nrows) if work[i][c]._coeffs]
         if not candidates:
             continue
         i = min(candidates, key=lambda i: (work[i][c].span() - den[i].span(), i))
@@ -448,17 +470,19 @@ def _bareiss(
             sign = -sign
         prow = work[r]
         if den[r] != prev:
-            prow[c:] = [_cross_div(((x, prev),), den[r]) if x else x for x in prow[c:]]
+            prow[c:] = [_cross_div(((x, prev),), den[r]) if x._coeffs else x for x in prow[c:]]
         pivot = prow[c]
+        nonzero = [bool(x._coeffs) for x in prow]
         for i in range(r + 1, nrows):
             row = work[i]
             head = row[c]
-            if not head:
+            if not head._coeffs:
                 continue
             d, minus_head = den[i], -head
             for j in range(c + 1, ncols):
-                if row[j] or prow[j]:
-                    row[j] = _cross_div(((row[j], pivot), (minus_head, prow[j])), d)
+                x = row[j]
+                if x._coeffs or nonzero[j]:
+                    row[j] = _cross_div(((x, pivot), (minus_head, prow[j])), d)
             row[c] = zero
             den[i] = pivot
         prev = pivot

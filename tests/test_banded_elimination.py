@@ -9,6 +9,11 @@ result is checked three ways: the echelon rows against plain Bareiss through
 the schoolbook product and long division, det and rank against rational
 elimination at sample points (all in tests/oracles.py), and each kernel
 vector by B @ v == 0.
+
+det, rank and nullspace eliminate only the distinct rows, so matrices with
+rows copied exactly, in place of other rows or added to them, are checked
+against the same oracles; each kernel vector must also be canonical
+primitive and vanish at every free column but its own, which fixes it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,21 @@ def banded_matrices(draw):
     return LaurentMatrix.from_rows([rows[i] for i in order])
 
 
+@st.composite
+def repeated_row_matrices(draw):
+    """A banded matrix with 1 to 3 rows copied exactly: over other rows, or added to them."""
+    rows = draw(banded_matrices()).to_rows()
+    added = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(st.integers(0, len(rows) - 1))
+        if added:
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[source]))
+        else:
+            target = draw(st.integers(0, len(rows) - 1).filter(lambda t: t != source))
+            rows[target] = list(rows[source])
+    return LaurentMatrix.from_rows(rows)
+
+
 def plain_bareiss(rows):
     """Textbook Bareiss with the same pivot rule: every entry updated every step."""
     work = [list(r) for r in rows]
@@ -94,6 +114,13 @@ def sample_rank(b: LaurentMatrix) -> int:
     return max(fraction_rank(evaluate_matrix(b, x)) for x in POINTS)
 
 
+def free_columns(b: LaurentMatrix) -> list[int]:
+    """The columns that add nothing to the rank of the columns before them."""
+    rows = b.to_rows()
+    ranks = [sample_rank(LaurentMatrix.from_rows([r[:j] for r in rows])) for j in range(b.cols + 1)]
+    return [j for j in range(b.cols) if ranks[j + 1] == ranks[j]]
+
+
 @bounded
 @given(banded_matrices())
 def test_echelon_rows_equal_plain_bareiss(b):
@@ -119,6 +146,24 @@ def test_det_rank_and_nullspace_at_sample_points(b):
         assert gcd_many(c for c in v.coords if not c.is_zero()) == 1
     if basis:
         assert sample_rank(LaurentMatrix.from_rows([list(v.coords) for v in basis])) == len(basis)
+
+
+@bounded
+@given(repeated_row_matrices())
+def test_repeated_rows_at_sample_points(b):
+    if b.is_square():
+        det = b.det()
+        for x in POINTS:
+            assert det.evaluate(x) == fraction_det(evaluate_matrix(b, x))
+    assert b.rank() == sample_rank(b)
+    basis, free = b.nullspace(), free_columns(b)
+    assert len(basis) == len(free)
+    for v, own in zip(basis, free):
+        assert (b @ v).is_zero()
+        entries = [c for c in v.coords if not c.is_zero()]
+        assert gcd_many(entries) == 1
+        assert entries[0].valuation() == 0 and entries[0][0] > 0
+        assert [not v[j].is_zero() for j in free] == [j == own for j in free]
 
 
 def test_example_takes_both_stale_row_paths(monkeypatch):

@@ -9,7 +9,9 @@ the inverse, the kernel, the renderer, the elementary conjugation, the twist
 word and the congruence R* G R) in every module that binds them, and each
 command's counts must equal what it needs: one validation per datum it
 loads or builds, one computation of what it reports, one rendering of each
-file it writes.
+file it writes. On the double cover of xab(3, 5, 3), whose intersection
+matrix [[B, B], [B, B]] repeats each row, `compute det` eliminates nothing
+and `compute nullspace` eliminates the 8 distinct rows of 16.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from contextlib import redirect_stdout
 import pytest
 
 # The command modules are imported first, so that every name they bind is patched.
-from qlefschetz import catalog, moves, obstructions  # noqa: F401
+from qlefschetz import catalog, matrix, moves, obstructions  # noqa: F401
 from qlefschetz.cli import main
 from qlefschetz.matrix import LaurentMatrix
 
@@ -60,6 +62,8 @@ EXPECTED = {
     "catalog-mirror-p2": {**ONCE, "apply_twist_word": 3, "pairing_matrix": 1},
     "catalog-induce": {**ONCE, "_regenerated": 2, "apply_twist_word": 4, "pairing_matrix": 1},
 }
+# A square matrix with a repeated row has determinant 0 without elimination.
+BY_CASE = {"xab-3-5-3-cover_compute-det": ONCE}
 
 
 @pytest.fixture(scope="module")
@@ -106,4 +110,19 @@ def test_subcommand_computes_each_value_once(case, paths, counts, tmp_path):
     argv = [a.format(**names) for a in argv] + ["--output", str(tmp_path / "out.json")]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(counts) == EXPECTED[command(case)]
+    assert dict(counts) == BY_CASE.get(case, EXPECTED[command(case)])
+
+
+def test_cover_eliminates_its_distinct_rows_only(paths, monkeypatch):
+    rows: list[int] = []
+    bareiss = matrix._bareiss
+
+    def recording(work):
+        rows.append(len(work))
+        return bareiss(work)
+
+    monkeypatch.setattr(matrix, "_bareiss", recording)
+    with redirect_stdout(io.StringIO()):
+        for what in ("det", "nullspace"):
+            assert main(["compute", what, paths["xab-3-5-3-cover"]]) == 0
+    assert rows == [8]

@@ -833,4 +833,4 @@ def test_twist_target_index_out_of_range(tmp_path, capsys, index):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"target index {index} out of range" in captured.err
+    assert f"target index {index} is not among 1..5 (numbered from 1)" in captured.err

@@ -10,10 +10,13 @@ the first factors by d so that the division is exact; the other half use
 an arbitrary d, which mostly does not divide. Operands lean toward
 monomials +-q^k and c q^k, and divisors toward q^j, the cases the kernel
 answers by shifting the other factor without a buffer; every result must
-be canonical.
+be canonical. A monomial divisor c q^k divides coefficient by coefficient;
+the examples below pin that path for c = -1, 2 and -3.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,3 +114,21 @@ def test_cross_div_edge_cases():
         _cross_div([(q, q), (-one, one)], zero)
     with pytest.raises(ZeroDivisionError):
         _cross_div([], zero)
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+@pytest.mark.parametrize("c", [-1, 2, -3])
+def test_monomial_divisor_examples(c, k):
+    d = LaurentPoly.monomial(c, k)
+    x, y = 1 - 2 * q + q**3, 3 * q**-1 + q
+    # c (x q + y - q^4) is exact, and its top terms cancel, so the buffer is trimmed.
+    exact = [(c * x, q), (c * y, LaurentPoly.one()), (c * q, -(q**3))]
+    result = _cross_div(exact, d)
+    assert result == schoolbook_sum_div(exact, d)
+    assert_canonical(result)
+    assert _cross_div([(x, d), (-x, d)], d) == LaurentPoly.zero()  # the sum cancels
+    if c != -1:  # -1 divides everything
+        inexact = [(c * x, q), (LaurentPoly.one(), q**2)]
+        total = schoolbook_sum_div(inexact, LaurentPoly.one())
+        with pytest.raises(ExactDivisionError, match=re.escape(f"{d} does not divide {total}")):
+            _cross_div(inexact, d)

@@ -9,11 +9,14 @@ B' = C* B C with star(det C) det C = 1, so each of the four moves keeps
 det B and the kernel up to C: ker B' = C^-1 ker B. The rank, and with it
 the sphere test's verdict and branch, cannot change. A rank-1 generator
 changes by C^-1 and a unit, so its self-pairing is kept; a rank >= 2 kernel
-only keeps its span, since its canonical generators may change.
+only keeps its span, since its canonical generators may change. A double
+cover, with Seifert matrix [[S, B], [0, S]], has intersection matrix
+[[B, B], [u B*, B]] = [[B, B], [B, B]]: its bottom half repeats its top half.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -93,3 +96,15 @@ def test_moves_keep_det_kernel_and_sphere_verdict(alg):
         assert all((alg.intersection @ (c @ w)).is_zero() for w in after.kernel), (name, k)
         if rank <= 1:
             assert after.self_pairings == before.self_pairings, (name, k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_double_cover_intersection_repeats_its_top_half(n):
+    band = xab(2, 3, n)
+    for alg in (band, mirror_p2(n), band.double_cover()[0]):
+        b, m = alg.intersection, alg.size
+        cover = alg.double_cover()[0].intersection
+        # [[B, B], [B, B]]: row i + m repeats row i, column j + m repeats column j.
+        for i in range(2 * m):
+            for j in range(2 * m):
+                assert cover[i, j] == b[i % m, j % m], (m, i, j)
