@@ -10,6 +10,11 @@ target objects) are 1-based; the library itself is 0-based.
 
 A cold process imports only what its command runs: the catalog, moves and
 obstructions modules are imported inside the commands that use them.
+
+Every file a command writes (--output, --classes-output) goes through
+`_write_text`, which overwrites an existing file in place: the file keeps
+its inode, mode, owner and links, and a rewrite does not pay for freeing
+and reallocating the old blocks. A write is not atomic.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from typing import Any, Callable, Sequence
 
@@ -157,6 +164,22 @@ def _load_fibration(path: str) -> tuple[LefschetzAlgebra, list[str] | None]:
     return fibration_from_obj(_read_json(path, "fibration"))
 
 
+def _write_text(path: str, text: str) -> None:
+    """
+    Write text to path as UTF-8, over an existing file's bytes in place and
+    then cut a regular file to the new length; a FIFO or device is written
+    as before. Opening without O_TRUNC keeps the file's inode, mode, owner,
+    links and symlink target, as open(path, "w") does, and spares a rewrite
+    the freeing and reallocation of its blocks.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(len(data))
+
+
 def _emit(
     args: argparse.Namespace,
     report: dict[str, Any],
@@ -164,10 +187,10 @@ def _emit(
     artifact: dict[str, Any] | None = None,
 ) -> int:
     """
-    Write --output, the artifact or else the report, then print the report,
-    or the table lines (built only then); a file that cannot be written
-    leaves stdout empty. Each is rendered once: a written artifact goes into
-    the report as its Rendered text.
+    Write --output through `_write_text`, the artifact or else the report,
+    then print the report, or the table lines (built only then); a file that
+    cannot be written leaves stdout empty. Each is rendered once: a written
+    artifact goes into the report as its Rendered text.
     """
     rendered = None
     if args.output is not None and artifact is not None:
@@ -175,8 +198,8 @@ def _emit(
         report = {k: rendered if v is artifact else v for k, v in report.items()}
     text = dumps_canonical(report) if args.format == "json" else None
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n" if rendered is not None else text or dumps_canonical(report))
+        body = rendered + "\n" if rendered is not None else text or dumps_canonical(report)
+        _write_text(args.output, body)
     sys.stdout.write(text if text is not None else "\n".join(table_lines()) + "\n")
     return 0
 
@@ -386,8 +409,8 @@ def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
         "sphere_classes": [kclass_to_obj(s) for s in data.sphere_classes],
     }
     if args.classes_output is not None:
-        with open(args.classes_output, "w", encoding="utf-8") as handle:
-            handle.write(dumps_canonical(classes_to_obj(list(data.sphere_classes), [])))
+        classes = classes_to_obj(list(data.sphere_classes), [])
+        _write_text(args.classes_output, dumps_canonical(classes))
     return _emit(
         args,
         report,

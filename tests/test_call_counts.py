@@ -9,7 +9,9 @@ the inverse, the kernel, the renderer, the elementary conjugation, the twist
 word and the congruence R* G R) in every module that binds them, and each
 command's counts must equal what it needs: one validation per datum it
 loads or builds, one computation of what it reports, one rendering of each
-file it writes. On the double cover of xab(3, 5, 3), whose intersection
+file it writes. Every file goes through one writer, `cli._write_text`: each
+command writes its --output once, and `catalog milnor` with --classes-output
+writes twice. On the double cover of xab(3, 5, 3), whose intersection
 matrix [[B, B], [B, B]] repeats each row, `compute det` eliminates nothing
 and `compute nullspace` eliminates the 8 distinct rows of 16.
 """
@@ -37,6 +39,7 @@ FUNCTIONS = (
     ("moves", "_conjugate"),
     ("moves", "apply_twist_word"),
     ("matrix", "pairing_matrix"),
+    ("cli", "_write_text"),
 )
 METHODS = ("unitriangular_inverse", "nullspace")
 
@@ -62,6 +65,8 @@ EXPECTED = {
     "catalog-mirror-p2": {**ONCE, "apply_twist_word": 3, "pairing_matrix": 1},
     "catalog-induce": {**ONCE, "_regenerated": 2, "apply_twist_word": 4, "pairing_matrix": 1},
 }
+# Each case runs with --output, which is written once.
+WRITES = {"_write_text": 1}
 # A square matrix with a repeated row has determinant 0 without elimination.
 BY_CASE = {"xab-3-5-3-cover_compute-det": ONCE}
 
@@ -110,7 +115,14 @@ def test_subcommand_computes_each_value_once(case, paths, counts, tmp_path):
     argv = [a.format(**names) for a in argv] + ["--output", str(tmp_path / "out.json")]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(counts) == BY_CASE.get(case, EXPECTED[command(case)])
+    assert dict(counts) == {**BY_CASE.get(case, EXPECTED[command(case)]), **WRITES}
+
+
+def test_catalog_milnor_writes_each_file_once(counts, tmp_path):
+    argv = ["catalog", "milnor", "--r", "4", "--n", "4", "--output", str(tmp_path / "fibre.json")]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + ["--classes-output", str(tmp_path / "classes.json")]) == 0
+    assert counts["_write_text"] == 2
 
 
 def test_cover_eliminates_its_distinct_rows_only(paths, monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 
 import pytest
@@ -676,6 +678,63 @@ def test_unwritable_output_leaves_stdout_empty(tmp_path, capsys):
         assert code == 2
         assert captured.out == ""
         assert "cannot read or write:" in captured.err
+
+
+def test_output_to_dev_null_prints_the_plain_report(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    for argv in (["move", path, "hurwitz", "--k", 1], ["verify", path, "--format", "table"]):
+        plain = run(capsys, argv)
+        assert plain[0] == 0
+        assert run(capsys, argv + ["--output", os.devnull]) == plain
+
+
+def test_output_naming_a_directory_fails_as_open_does(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    with pytest.raises(IsADirectoryError) as caught:
+        open(tmp_path, "w")
+    code = main(["verify", str(path), "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot read or write: {caught.value}\n"
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old " * 5000, encoding="utf-8")
+    link.symlink_to(target)
+    code, out = run(capsys, ["verify", path, "--output", link])
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_output_keeps_an_existing_file_its_mode_and_links(tmp_path, capsys):
+    path = write_xab(tmp_path)
+    out_path, twin = tmp_path / "out.json", tmp_path / "twin.json"
+    out_path.write_text("old " * 5000, encoding="utf-8")
+    out_path.chmod(0o600)
+    os.link(out_path, twin)
+    inode = out_path.stat().st_ino
+    code, out = run(capsys, ["verify", path, "--output", out_path])
+    assert code == 0
+    for name in (out_path, twin):
+        st = name.stat()
+        assert (stat.S_IMODE(st.st_mode), st.st_ino, st.st_nlink) == (0o600, inode, 2)
+        assert name.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_output_file_gets_the_mode_the_umask_leaves(tmp_path, capsys, umask):
+    path, out_path = write_xab(tmp_path), tmp_path / "new.json"
+    old = os.umask(umask)
+    try:
+        code, _ = run(capsys, ["verify", path, "--output", out_path])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_classical_writes_integers_beyond_the_int_str_limit(tmp_path, capsys):

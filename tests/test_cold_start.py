@@ -5,7 +5,8 @@ Each check runs in a new interpreter and compares its modules with those a
 bare `python -c pass` loads, because `site` may already import some (re,
 typing and pathlib here). The command modules and the stdlib modules that
 only the old dataclass records and the rational gcd needed must stay out;
-a command loads only the command modules it runs.
+a command loads only the command modules it runs, and writing --output loads
+nothing more.
 """
 
 from __future__ import annotations
@@ -82,3 +83,12 @@ def test_catalog_twist_and_move_load_only_their_command_modules(bare, fibration,
     expected = {"qlefschetz." + name for name in loaded}
     assert added & COMMAND_MODULES == expected
     assert not added & STDLIB_LEFT_OUT
+
+
+def test_move_output_loads_nothing_more(fibration):
+    argv = ["move", str(fibration), "hurwitz", "--k", "2"]
+    written = argv + ["--output", str(fibration.with_name("moved.json"))]
+    plain, loaded = (
+        modules_after(f"from qlefschetz.cli import main\nmain({a!r})") for a in (argv, written)
+    )
+    assert loaded == plain
