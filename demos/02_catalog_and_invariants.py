@@ -10,16 +10,14 @@ Run with: python3 demos/02_catalog_and_invariants.py
 
 from qlefschetz import KClass, gram_pairing, milnor_ar, mirror_p2, q, xab
 
-# The fibre-level input: the type-A sphere chain. Its Mukai matrix pairs
-# the thimble objects; the sphere classes are differences of basis vectors.
-chain = milnor_ar(4, 4)
+# The fibre-level input: the type-A Milnor fibre, a datum one dimension
+# down whose Seifert matrix is the Mukai matrix of the thimble objects, and
+# its sphere chain, whose classes are differences of basis vectors.
+fibre, spheres = milnor_ar(4, 4)
 print("Mukai matrix of the A_4 chain (n = 4):")
-print(chain.mukai)
-print("sphere classes:", ", ".join(str(s) for s in chain.sphere_classes))
-print(
-    "adjacent pairing <S1, S2> =",
-    gram_pairing(chain.mukai, chain.sphere_classes[0], chain.sphere_classes[1]),
-)
+print(fibre.seifert)
+print("sphere classes:", ", ".join(str(s) for s in spheres))
+print("adjacent pairing <S1, S2> =", gram_pairing(fibre.seifert, spheres[0], spheres[1]))
 
 # The (2, 3) family: windows of two consecutive spheres, paired in the
 # fibre, give a cyclic band matrix.

@@ -41,9 +41,8 @@ print("\nentry (1, 2) before and after a weight shift:",
 
 # Twist words on the sphere chain: the two-step window class arises as a
 # single twist, matching the closed-form relation for the band family.
-chain = milnor_ar(4, 4)
-spheres = list(chain.sphere_classes)
-window = apply_twist_word(3, chain.mukai, spheres, TwistWord.parse("t2"), spheres[0])
+fibre, spheres = milnor_ar(4, 4)
+window = apply_twist_word(fibre, spheres, TwistWord.parse("t2"), spheres[0])
 print("\ntwist t2 applied to the first sphere:", window)
 print("equals the two-step window:", window == spheres[0] + spheres[1])
 
@@ -52,7 +51,7 @@ cover, matching = alg.double_cover()
 s0 = matching[0]
 print("\nmatching sphere of the double cover:", s0)
 print("its self-pairing:", cover.pairing(s0, s0))
-print("twist along itself:", dehn_twist_class(cover.seifert, s0, s0))
+print("twist along itself:", dehn_twist_class(cover, s0, s0))
 
 # The matching spheres' Gram matrix is a valid intersection datum one
 # dimension up: dimensional induction closes the loop.

@@ -13,7 +13,7 @@ as the qlef command does, loads no other module.
 import importlib
 
 _EXPORTS = {
-    "catalog": ("MilnorData", "induced_total_space", "milnor_ar", "mirror_p2", "xab"),
+    "catalog": ("induced_total_space", "milnor_ar", "mirror_p2", "xab"),
     "laurent": ("ExactDivisionError", "LaurentPoly", "gcd_many", "laurent_gcd", "q"),
     "lefschetz": ("ConsistencyError", "LefschetzAlgebra"),
     "matrix": ("KClass", "LaurentMatrix", "gram_pairing"),

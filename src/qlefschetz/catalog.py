@@ -2,12 +2,12 @@
 Generators for the worked families of fibration data.
 
 Everything is produced by one pipeline, run one dimension down: start from
-the sphere chain in a type-A Milnor fibre (its equivariant Mukai pairing
-matrix G and the K-theory classes of the standard spheres), express the
-vanishing cycles of the total space as classes in that fibre, directly or
-as words of Dehn twists applied to the spheres, and pair those classes:
-with them as the columns of R, R* G R is the total space's intersection
-matrix.
+a type-A Milnor fibre, itself a fibration datum of dimension n - 1 whose
+Seifert matrix S is the equivariant Mukai pairing matrix, with the K-theory
+classes of its standard spheres; express the vanishing cycles of the total
+space as classes in that fibre, directly or as words of Dehn twists
+applied to the spheres, and pair those classes: with them as the columns
+of R, R* S R is the total space's intersection matrix.
 
 Coordinate convention for the sphere chain with m = r + 1 basis objects:
 the k-th sphere is the cone of the degree-zero morphism from the k-th
@@ -24,33 +24,19 @@ from typing import Sequence, Union
 
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra, parity_sign
-from .matrix import FrozenRecord, KClass, LaurentMatrix, pairing_matrix
+from .matrix import KClass, LaurentMatrix, pairing_matrix
 from .moves import TwistWord, apply_twist_word
 
 ClassSpec = Union[KClass, tuple[TwistWord, int]]
 
 
-class MilnorData(FrozenRecord):
+def milnor_ar(r: int, n: int) -> tuple[LefschetzAlgebra, tuple[KClass, ...]]:
     """
-    The fibre-level input to the induction: the Mukai pairing matrix of the
-    r + 1 thimble objects of a type-A_r Milnor fibre, together with the
-    classes of its r + 1 standard matching spheres. `dim` is the dimension
-    parameter n of the ambient family; the spheres themselves live in a
-    space of parity n - 1.
-    """
-
-    __slots__ = ("chain_length", "dim", "mukai", "sphere_classes")
-    chain_length: int
-    dim: int
-    mukai: LaurentMatrix
-    sphere_classes: tuple[KClass, ...]
-
-
-def milnor_ar(r: int, n: int) -> MilnorData:
-    """
-    The type-A_r data: an (r+1) x (r+1) unitriangular Mukai matrix whose
-    strict upper entries are all 1 + (-1)^n q, and the cyclic chain of
-    sphere classes e_(k+1) - e_k, closed up by e_1 - e_(r+1).
+    The type-A_r Milnor fibre of the n-dimensional family and its spheres:
+    the datum of dimension n - 1 whose Seifert matrix is the (r+1) x (r+1)
+    unitriangular Mukai matrix with every strict upper entry 1 + (-1)^n q
+    (so every entry of its intersection matrix is 1 + (-1)^n q), and the
+    cyclic chain of sphere classes e_(k+1) - e_k, closed up by e_1 - e_(r+1).
     """
     if r < 1:
         raise ValueError(f"the sphere chain needs r >= 1, got {r}")
@@ -62,32 +48,26 @@ def milnor_ar(r: int, n: int) -> MilnorData:
     spheres = tuple(
         KClass.basis_vector(m, (k + 1) % m) - KClass.basis_vector(m, k) for k in range(m)
     )
-    return MilnorData(r, n, mukai, spheres)
+    return LefschetzAlgebra.from_seifert(n - 1, mukai), spheres
 
 
 def induced_total_space(
-    fibre: MilnorData | LefschetzAlgebra,
+    fibre: LefschetzAlgebra,
     class_specs: Sequence[ClassSpec],
     generators: Sequence[KClass] | None = None,
 ) -> LefschetzAlgebra:
     """
     Run one step of the dimensional induction: resolve each class spec to
-    a K-theory class of the fibre, pair the resolved classes as R* G R (R
-    their columns, G the fibre's pairing matrix), and validate the result
-    as the intersection matrix of the total space, whose n the fibre fixes:
-    a Milnor fibre's dim, an algebra fibre's dim + 1. A spec is a class or
-    (twist word, seed index); the word acts with the fibre's parity n - 1
-    on that generator. The generators default to the Milnor fibre's spheres
-    or the algebra's thimble basis. An inconsistent result (for a wrongly
-    ordered collection, say) is a ConsistencyError of the validation.
+    a K-theory class of the fibre, pair the resolved classes as R* S R (R
+    their columns, S the fibre's Seifert matrix), and validate the result
+    as the intersection matrix of the total space, of dimension
+    fibre.dim + 1. A spec is a class or (twist word, seed index); the word
+    acts in the fibre on that generator. The generators default to the
+    fibre's thimble basis. An inconsistent result (for a wrongly ordered
+    collection, say) is a ConsistencyError of the validation.
     """
-    if isinstance(fibre, MilnorData):
-        n, gram = fibre.dim, fibre.mukai
-        default = fibre.sphere_classes
-    else:
-        n, gram = fibre.dim + 1, fibre.seifert
-        default = [KClass.basis_vector(fibre.size, k) for k in range(fibre.size)]
-    generators = list(default if generators is None else generators)
+    if generators is None:
+        generators = [KClass.basis_vector(fibre.size, k) for k in range(fibre.size)]
 
     resolved: list[KClass] = []
     for spec in class_specs:
@@ -100,11 +80,11 @@ def induced_total_space(
                     f"seed {seed + 1} is not among the {len(generators)} generators "
                     "(numbered from 1)"
                 )
-            resolved.append(
-                apply_twist_word(n - 1, gram, generators, word, generators[seed])
-            )
+            resolved.append(apply_twist_word(fibre, generators, word, generators[seed]))
 
-    return LefschetzAlgebra.from_intersection(n, pairing_matrix(gram, resolved))
+    return LefschetzAlgebra.from_intersection(
+        fibre.dim + 1, pairing_matrix(fibre.seifert, resolved)
+    )
 
 
 def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
@@ -123,7 +103,7 @@ def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
         raise ValueError(f"the induction needs n >= 3, got {n}")
     m = a + b
     windows = [KClass.basis_vector(m, (i + a) % m) - KClass.basis_vector(m, i) for i in range(m)]
-    return induced_total_space(milnor_ar(m - 1, n), windows)
+    return induced_total_space(milnor_ar(m - 1, n)[0], windows)
 
 
 MIRROR_P2_WORDS: tuple[tuple[str, int], ...] = (
@@ -142,5 +122,6 @@ def mirror_p2(n: int) -> LefschetzAlgebra:
     """
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
+    fibre, spheres = milnor_ar(3, n)
     specs = [(TwistWord.parse(word), seed) for word, seed in MIRROR_P2_WORDS]
-    return induced_total_space(milnor_ar(3, n), specs)
+    return induced_total_space(fibre, specs, spheres)

@@ -393,7 +393,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
             raise FileFormatError("target.vector: missing")
         where = "target.vector" if isinstance(obj, dict) else "target"
         target = kclass_from_obj(obj["vector"] if isinstance(obj, dict) else obj, where, alg.size)
-    result = apply_twist_word(alg.dim, alg.seifert, generators, word, target)
+    result = apply_twist_word(alg, generators, word, target)
     report = {"word": str(word), "class": kclass_to_obj(result)}
     return _emit(args, report, lambda: [f"word: {word}", f"class: {result}"])
 
@@ -401,22 +401,21 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
     from .catalog import milnor_ar
 
-    data = milnor_ar(args.r, args.n)
-    fibre = LefschetzAlgebra.from_seifert(args.n - 1, data.mukai)
+    fibre, spheres = milnor_ar(args.r, args.n)
     artifact = fibration_to_obj(fibre)
     report = {
         "fibration": artifact,
-        "sphere_classes": [kclass_to_obj(s) for s in data.sphere_classes],
+        "sphere_classes": [kclass_to_obj(s) for s in spheres],
     }
     if args.classes_output is not None:
-        classes = classes_to_obj(list(data.sphere_classes), [])
+        classes = classes_to_obj(list(spheres), [])
         _write_text(args.classes_output, dumps_canonical(classes))
     return _emit(
         args,
         report,
-        lambda: _matrix_lines("Mukai pairing matrix", data.mukai)
+        lambda: _matrix_lines("Mukai pairing matrix", fibre.seifert)
         + ["sphere classes:"]
-        + [f"  {s}" for s in data.sphere_classes],
+        + [f"  {s}" for s in spheres],
         artifact=artifact,
     )
 
@@ -439,6 +438,8 @@ def _cmd_catalog_induce(args: argparse.Namespace) -> int:
 
     fibre, _ = _load_fibration(args.fibre)
     generators, specs = class_specs_from_obj(_read_json(args.classes, "classes"), fibre.size)
+    if specs is None:
+        raise FileFormatError("classes.classes: missing from classes file")
     alg = induced_total_space(fibre, specs, generators)
     return _emit_datum(args, alg, "induced intersection matrix")
 

@@ -12,7 +12,8 @@ Two kinds of operation live here and are deliberately kept apart:
 
   * Dehn twists acting on K-theory classes while the algebra stays fixed:
     the reflection-like map c1 -> c1 - <c0, c1> c0 for a twist along c0,
-    its inverse, and words in such twists.
+    its inverse, and words in such twists. Each takes the algebra it acts
+    in, which supplies the pairing <,> and, for the inverse, the parity.
 
 Hurwitz moves return the transition matrix C alongside the new algebra so
 that callers can transport classes between the two bases.
@@ -20,9 +21,11 @@ that callers can transport classes between the two bases.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .laurent import LaurentPoly
-from .lefschetz import LefschetzAlgebra, parity_sign
-from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, _dot, gram_pairing
+from .lefschetz import LefschetzAlgebra
+from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, _dot
 
 
 class TwistWord(FrozenRecord):
@@ -170,40 +173,35 @@ def _checked(what: str, k: int, count: int) -> None:
 # -- twists on classes --------------------------------------------------------
 
 
-def dehn_twist_class(gram: LaurentMatrix, c0: KClass, c1: KClass) -> KClass:
+def dehn_twist_class(alg: LefschetzAlgebra, c0: KClass, c1: KClass) -> KClass:
     """
-    The image of c1 in K-theory under the Dehn twist along c0:
-    c1 - <c0, c1> c0, where <,> is the pairing defined by `gram`. Pairing
-    against any test class then drops by <test, c0><c0, c1>, whatever c0 is.
+    The image of c1 in K-theory under the Dehn twist along c0 in `alg`:
+    c1 - <c0, c1> c0, where <,> is alg.pairing. Pairing against any test
+    class then drops by <test, c0><c0, c1>, whatever c0 is.
     """
-    return c1 - c0.scale(gram_pairing(gram, c0, c1))
+    return c1 - c0.scale(alg.pairing(c0, c1))
 
 
-def inverse_dehn_twist_class(
-    dim: int, gram: LaurentMatrix, c0: KClass, c1: KClass
-) -> KClass:
+def inverse_dehn_twist_class(alg: LefschetzAlgebra, c0: KClass, c1: KClass) -> KClass:
     """
-    The image of c1 under the inverse Dehn twist along c0 in an ambient
-    space of complex dimension `dim`: c1 - (-1)^n q^-1 <c0, c1> c0. This is
-    the unique class whose pairings against every test class carry the
-    inverse-twist correction; linearity of the pairing in its second slot
-    pins the scalar. When c0 is spherical for the same parity, this inverts
-    dehn_twist_class on every class.
+    The image of c1 under the inverse Dehn twist along c0 in `alg`, of
+    dimension n: c1 - (-1)^n q^-1 <c0, c1> c0. This is the unique class
+    whose pairings against every test class carry the inverse-twist
+    correction; linearity of the pairing in its second slot pins the
+    scalar. When c0 is spherical in `alg`, this inverts dehn_twist_class on
+    every class.
     """
-    scalar = LaurentPoly.monomial(parity_sign(dim), -1) * gram_pairing(gram, c0, c1)
+    scalar = LaurentPoly.monomial(alg.parity_sign, -1) * alg.pairing(c0, c1)
     return c1 - c0.scale(scalar)
 
 
 def apply_twist_word(
-    dim: int,
-    gram: LaurentMatrix,
-    generators: list[KClass],
-    word: TwistWord,
-    target: KClass,
+    alg: LefschetzAlgebra, generators: Sequence[KClass], word: TwistWord, target: KClass
 ) -> KClass:
     """
-    Apply a word of signed Dehn twists to `target`, rightmost letter first.
-    The twisting objects are picked from `generators` by the letter's index.
+    Apply a word of signed Dehn twists in `alg` to `target`, rightmost
+    letter first. The twisting objects are picked from `generators` by the
+    letter's index.
     """
     result = target
     for gen, sign in reversed(word.letters):
@@ -212,7 +210,7 @@ def apply_twist_word(
                 f"twist letter t{gen + 1} exceeds the {len(generators)} generators"
             )
         if sign == 1:
-            result = dehn_twist_class(gram, generators[gen], result)
+            result = dehn_twist_class(alg, generators[gen], result)
         else:
-            result = inverse_dehn_twist_class(dim, gram, generators[gen], result)
+            result = inverse_dehn_twist_class(alg, generators[gen], result)
     return result

@@ -194,13 +194,16 @@ def fibration_from_obj(obj: Any) -> tuple[LefschetzAlgebra, list[str] | None]:
     return alg, labels
 
 
-def class_specs_from_obj(obj: Any, size: int) -> tuple[list[KClass] | None, list[ClassSpec]]:
+def class_specs_from_obj(
+    obj: Any, size: int
+) -> tuple[list[KClass] | None, list[ClassSpec] | None]:
     """
-    Parse a classes file for a fibre of `size` objects: optional "generators"
-    and a "classes" array of {"vector": ...} or {"word": "t2 t1^-1", "seed": k}
-    entries, k a 1-based generator index. Word entries are returned as
-    (TwistWord, 0-based seed index), the spec form that induced_total_space
-    resolves against the fibre.
+    Parse a classes file for a fibre of `size` objects: a "generators" array
+    of classes and a "classes" array of {"vector": ...} or
+    {"word": "t2 t1^-1", "seed": k} entries, k a 1-based generator index;
+    either key may be absent, and is then returned as None. Word entries are
+    returned as (TwistWord, 0-based seed index), the spec form that
+    induced_total_space resolves against the fibre.
     """
     from .moves import TwistWord
 
@@ -214,7 +217,9 @@ def class_specs_from_obj(obj: Any, size: int) -> tuple[list[KClass] | None, list
             kclass_from_obj(g, f"classes.generators[{i}]", size)
             for i, g in enumerate(obj["generators"])
         ]
-    entries = obj.get("classes", [])
+    if "classes" not in obj:
+        return generators, None
+    entries = obj["classes"]
     if not isinstance(entries, list):
         raise FileFormatError("classes.classes: expected an array")
     specs: list[ClassSpec] = []

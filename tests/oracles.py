@@ -353,7 +353,7 @@ def sphere_sum_windows(a: int, b: int, n: int) -> list[KClass]:
     i-th is the sum of the a spheres of milnor_ar(a + b - 1, n) from the
     i-th on, cyclically, where xab takes the telescoped e_(i+a) - e_i.
     """
-    spheres = milnor_ar(a + b - 1, n).sphere_classes
+    _, spheres = milnor_ar(a + b - 1, n)
     m = a + b
     return [sum((spheres[(i + s) % m] for s in range(1, a)), spheres[i]) for i in range(m)]
 

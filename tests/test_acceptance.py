@@ -95,11 +95,11 @@ def test_criterion_02_quantum_band_matrices():
 def test_criterion_03_deformed_sphere_chain_pairings():
     for r in range(2, 9):
         for n in PARITIES:
-            data = milnor_ar(r, n)
+            fibre, spheres = milnor_ar(r, n)
             for i in range(r + 1):
                 for j in range(r + 1):
                     assert gram_pairing(
-                        data.mukai, data.sphere_classes[i], data.sphere_classes[j]
+                        fibre.seifert, spheres[i], spheres[j]
                     ) == deformed_sphere_pairing(r, n, i + 1, j + 1)
     report_pass(3, "sphere-chain pairings match the cyclic tridiagonal form, r = 2..8")
 
@@ -223,7 +223,7 @@ def test_criterion_09_move_coherence():
         basis = [KClass.basis_vector(m, i) for i in range(m)]
         for c0 in basis:
             for c1 in basis:
-                twisted = dehn_twist_class(s, c0, c1)
+                twisted = dehn_twist_class(alg, c0, c1)
                 for c2 in basis:
                     assert gram_pairing(s, c2, twisted) == gram_pairing(
                         s, c2, c1
@@ -233,8 +233,8 @@ def test_criterion_09_move_coherence():
         c0 = matching[0]
         for _ in range(10):
             c1 = rand_kclass(rng, cover.size)
-            forward = dehn_twist_class(cover.seifert, c0, c1)
-            assert inverse_dehn_twist_class(cover.dim, cover.seifert, c0, forward) == c1
+            forward = dehn_twist_class(cover, c0, c1)
+            assert inverse_dehn_twist_class(cover, c0, forward) == c1
         # Entrywise weight and grading laws.
         rescaled = rescale_object(alg, 0, 1)
         flipped = shift_object(alg, 0)
@@ -267,18 +267,15 @@ def test_criterion_11_dual_route_catalog_build():
     from qlefschetz.moves import TwistWord, apply_twist_word
 
     for n in PARITIES:
-        fibre = milnor_ar(3, n)
+        fibre, sphere = milnor_ar(3, n)
         s = sign_of(n)
-        sphere = fibre.sphere_classes
         direct = [
             sphere[0] + sphere[1],
             sphere[0] + sphere[1].scale(LaurentPoly.monomial(-s, -1)) + sphere[3],
             sphere[0].scale(LaurentPoly.monomial(-s, 1)) + sphere[1] + sphere[2],
         ]
         twisted = [
-            apply_twist_word(
-                n - 1, fibre.mukai, list(sphere), TwistWord.parse(word), sphere[seed]
-            )
+            apply_twist_word(fibre, sphere, TwistWord.parse(word), sphere[seed])
             for word, seed in MIRROR_P2_WORDS
         ]
         assert direct == twisted

@@ -32,12 +32,18 @@ TESTED_AB = ((1, 2), (2, 3), (2, 5), (3, 4))
 
 def test_milnor_mukai_shape():
     for n in (3, 4):
-        data = milnor_ar(4, n)
+        fibre, _ = milnor_ar(4, n)
         upper = 1 + LaurentPoly.monomial(sign_of(n), 1)
         for i in range(5):
             for j in range(5):
                 expected = upper if i < j else 1 if i == j else 0
-                assert data.mukai[i, j] == LaurentPoly.coerce(expected)
+                assert fibre.seifert[i, j] == LaurentPoly.coerce(expected)
+        # The fibre is the datum one dimension down, and every entry of its
+        # intersection matrix is 1 + (-1)^n q.
+        for r in (1, 2, 4, 5):
+            fibre, _ = milnor_ar(r, n)
+            assert fibre.dim == n - 1
+            assert set(fibre.intersection.entries) == {upper}
     with pytest.raises(ValueError):
         milnor_ar(0, 3)
 
@@ -45,22 +51,21 @@ def test_milnor_mukai_shape():
 def test_milnor_sphere_pairings_match_cyclic_chain():
     for r in range(2, 9):
         for n in (3, 4):
-            data = milnor_ar(r, n)
+            fibre, spheres = milnor_ar(r, n)
             for i in range(r + 1):
                 for j in range(r + 1):
                     assert gram_pairing(
-                        data.mukai, data.sphere_classes[i], data.sphere_classes[j]
+                        fibre.seifert, spheres[i], spheres[j]
                     ) == deformed_sphere_pairing(r, n, i + 1, j + 1)
 
 
 def test_milnor_specific_values():
-    even = milnor_ar(4, 4)
-    s = even.sphere_classes
-    assert gram_pairing(even.mukai, s[0], s[0]) == 1 - q
-    assert gram_pairing(even.mukai, s[0], s[1]) == q + 0
-    assert gram_pairing(even.mukai, s[1], s[0]) == LaurentPoly.coerce(-1)
-    tiny = milnor_ar(1, 3)
-    assert gram_pairing(tiny.mukai, tiny.sphere_classes[0], tiny.sphere_classes[0]) == 1 + q
+    even, s = milnor_ar(4, 4)
+    assert gram_pairing(even.seifert, s[0], s[0]) == 1 - q
+    assert gram_pairing(even.seifert, s[0], s[1]) == q + 0
+    assert gram_pairing(even.seifert, s[1], s[0]) == LaurentPoly.coerce(-1)
+    tiny, t = milnor_ar(1, 3)
+    assert gram_pairing(tiny.seifert, t[0], t[0]) == 1 + q
 
 
 def test_xab_matches_published_band_matrix():
@@ -81,7 +86,7 @@ def test_xab_windows_agree_with_the_sphere_sums():
         for b in range(2, 20):
             for a in range(1, min(b, 21 - b)):
                 if math.gcd(a, b) == 1:
-                    fibre = milnor_ar(a + b - 1, n)
+                    fibre, _ = milnor_ar(a + b - 1, n)
                     expected = induced_total_space(fibre, sphere_sum_windows(a, b, n))
                     assert xab(a, b, n) == expected, (a, b, n)
 
@@ -185,17 +190,15 @@ def test_mirror_p2_determinant_and_kernel():
 
 def test_induced_total_space_reproduces_generators():
     for n in (3, 4):
-        fibre = milnor_ar(4, n)
-        windows = [
-            fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5]
-            for i in range(5)
-        ]
+        fibre, spheres = milnor_ar(4, n)
+        windows = [spheres[i] + spheres[(i + 1) % 5] for i in range(5)]
         assert induced_total_space(fibre, windows) == xab(2, 3, n)
         words = [
             (TwistWord.parse(word), seed)
             for word, seed in (("t2", 0), ("t2^-1 t1", 3), ("t3 t1", 1))
         ]
-        assert induced_total_space(milnor_ar(3, n), words) == mirror_p2(n)
+        fibre, spheres = milnor_ar(3, n)
+        assert induced_total_space(fibre, words, spheres) == mirror_p2(n)
 
 
 def test_induced_total_space_from_double_cover_matching_classes():
@@ -214,10 +217,8 @@ def test_induced_total_space_from_double_cover_matching_classes():
 def test_induced_total_space_rejects_non_spherical_class():
     # A raw thimble basis vector has self-pairing 1 rather than the
     # spherical value, so the induced matrix fails validation.
-    fibre = milnor_ar(4, 4)
-    windows = [
-        fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5] for i in range(5)
-    ]
+    fibre, spheres = milnor_ar(4, 4)
+    windows = [spheres[i] + spheres[(i + 1) % 5] for i in range(5)]
     bad = [KClass.basis_vector(5, 0)] + windows[1:]
     with pytest.raises(ConsistencyError):
         induced_total_space(fibre, bad)
@@ -227,14 +228,11 @@ def test_twist_word_route_of_first_band_cycle():
     # The first vanishing cycle of the (2, b) families is the twist of the
     # first sphere along the second, whose class is the two-step window.
     for n in (3, 4):
-        fibre = milnor_ar(4, n)
+        fibre, spheres = milnor_ar(4, n)
         spec = (TwistWord.parse("t2"), 0)
-        direct = fibre.sphere_classes[0] + fibre.sphere_classes[1]
-        windows = [
-            fibre.sphere_classes[i] + fibre.sphere_classes[(i + 1) % 5]
-            for i in range(5)
-        ]
-        via_word = induced_total_space(fibre, [spec] + windows[1:])
+        direct = spheres[0] + spheres[1]
+        windows = [spheres[i] + spheres[(i + 1) % 5] for i in range(5)]
+        via_word = induced_total_space(fibre, [spec] + windows[1:], spheres)
         via_class = induced_total_space(fibre, [direct] + windows[1:])
         assert via_word == via_class == xab(2, 3, n)
 
@@ -264,12 +262,12 @@ def test_inducing_xab_hands_the_kernel_few_factor_pairs(monkeypatch):
 def test_induced_total_space_names_a_class_of_wrong_length(bad):
     # The congruence R* G R states the length rule once, with the spec's
     # 1-based index; the twist-word specs around the bad vector resolve.
-    fibre = milnor_ar(4, 4)
+    fibre, spheres = milnor_ar(4, 4)
     specs = [(TwistWord.parse("t2"), i) for i in range(5)]
     specs[bad] = KClass([1, -1])
     message = f"class {bad + 1} has length 2, not the pairing matrix's 5"
     with pytest.raises(ValueError, match=re.escape(message)):
-        induced_total_space(fibre, specs)
+        induced_total_space(fibre, specs, spheres)
 
 
 @pytest.mark.parametrize(
@@ -284,8 +282,8 @@ def test_induced_total_space_names_a_class_of_wrong_length(bad):
 def test_induced_total_space_refuses_a_used_generator_of_wrong_length(word, seed, message):
     # A spec that uses the short generator 2, as a twist letter or as a
     # seed, is refused by the pairing; one that does not use it resolves.
-    fibre = milnor_ar(4, 4)
-    generators = list(fibre.sphere_classes)
+    fibre, spheres = milnor_ar(4, 4)
+    generators = list(spheres)
     generators[1] = KClass([1, -1])
     with pytest.raises(ValueError, match=re.escape(message)):
         induced_total_space(fibre, [(TwistWord.parse(word), seed)], generators)

@@ -305,7 +305,7 @@ def test_twist_with_generator_file(tmp_path, capsys):
     assert code == 0
     # The word t2 applied to the first sphere gives the two-step window
     # class: the sum of the first two sphere classes.
-    sphere = milnor_ar(3, 4).sphere_classes
+    _, sphere = milnor_ar(3, 4)
     target = tmp_path / "target.json"
     target.write_text(
         dumps_canonical({"vector": [poly_to_obj(c) for c in sphere[0].coords]}),
@@ -398,7 +398,7 @@ def test_catalog_induce_names_malformed_word(tmp_path, capsys):
     assert "classes.classes[1].word" in err
 
 
-FIRST_SPHERE = [poly_to_obj(c) for c in milnor_ar(4, 4).sphere_classes[0].coords]
+FIRST_SPHERE = [poly_to_obj(c) for c in milnor_ar(4, 4)[1][0].coords]
 
 
 @pytest.mark.parametrize(
@@ -884,6 +884,23 @@ def test_twist_generators_file_needs_generators(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "classes.generators: missing from generators file" in captured.err
+
+
+def test_catalog_induce_classes_file_needs_classes(tmp_path, capsys):
+    # A fibration file given as the classes file has no "classes" key; an
+    # explicit empty list, as catalog milnor --classes-output writes, still
+    # induces the empty datum.
+    fibre, spheres = tmp_path / "fibre.json", tmp_path / "spheres.json"
+    argv = ["catalog", "milnor", "--r", 4, "--n", 4, "--output", fibre]
+    assert run(capsys, argv + ["--classes-output", spheres])[0] == 0
+    code = main([str(a) for a in ["catalog", "induce", "--fibre", fibre, "--classes", fibre]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "classes.classes: missing from classes file" in captured.err
+    code, report = run_json(capsys, ["catalog", "induce", "--fibre", fibre, "--classes", spheres])
+    assert code == 0
+    assert (report["n"], report["m"]) == (4, 0)
 
 
 @pytest.mark.parametrize("index", [0, 6])

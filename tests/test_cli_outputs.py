@@ -17,7 +17,6 @@ import pytest
 from qlefschetz import cli
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
-from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.serialize import dumps_canonical, fibration_to_obj, kclass_to_obj
 
 OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
@@ -71,17 +70,14 @@ def write_inputs(directory: Path) -> dict[str, str]:
         path = directory / f"{datum}.json"
         path.write_text(dumps_canonical(fibration_to_obj(build())), encoding="utf-8")
         paths[datum] = str(path)
-    milnor = milnor_ar(4, 4)
+    milnor, spheres = milnor_ar(4, 4)
     fibre = directory / "fibre.json"
-    fibre.write_text(
-        dumps_canonical(fibration_to_obj(LefschetzAlgebra.from_seifert(3, milnor.mukai))),
-        encoding="utf-8",
-    )
+    fibre.write_text(dumps_canonical(fibration_to_obj(milnor)), encoding="utf-8")
     classes = directory / "classes.json"
     spec = {
-        "generators": [kclass_to_obj(s) for s in milnor.sphere_classes],
+        "generators": [kclass_to_obj(s) for s in spheres],
         "classes": [{"word": f"t{(i + 1) % 4 + 1}", "seed": i + 1} for i in range(4)]
-        + [{"vector": kclass_to_obj(milnor.sphere_classes[0])}],
+        + [{"vector": kclass_to_obj(spheres[0])}],
     }
     classes.write_text(dumps_canonical(spec), encoding="utf-8")
     paths["fibre"], paths["classes"] = str(fibre), str(classes)

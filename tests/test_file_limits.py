@@ -145,7 +145,7 @@ def catalog_data():
             yield xab(a, b, n).double_cover()[0]
     for n in (3, 4):
         yield mirror_p2(n)
-        yield LefschetzAlgebra.from_seifert(n - 1, milnor_ar(4, n).mukai)
+        yield milnor_ar(4, n)[0]
     yield moved_xab()
 
 

@@ -1,18 +1,18 @@
 """
 The induction step intertwines the two braid actions (Picard-Lefschetz).
 
-Let T be the total space induced from fibre classes R = (c_1, ..., c_m),
-with G the fibre's pairing matrix and n - 1 the fibre's parity. A Hurwitz
-move on T is induced by a Dehn twist of the classes:
+Let T be the total space induced from classes R = (c_1, ..., c_m) of a
+fibre F, with S the fibre's Seifert matrix. A Hurwitz move on T is induced
+by a Dehn twist of the classes in F:
 
   * hurwitz_move(T, k) is the induction from R with (c_k, c_(k+1))
-    replaced by (dehn_twist_class(G, c_k, c_(k+1)), c_k);
+    replaced by (dehn_twist_class(F, c_k, c_(k+1)), c_k);
   * hurwitz_inverse_move(T, k) is the induction from R with (c_k, c_(k+1))
-    replaced by (c_(k+1), inverse_dehn_twist_class(n - 1, G, c_(k+1), c_k)).
+    replaced by (c_(k+1), inverse_dehn_twist_class(F, c_(k+1), c_k)).
 
 The two sides share only the ring and the algebra's constructors: one is
 the local conjugation of the Seifert matrix, the other the twist formulas
-in the fibre's parity, the congruence R* G R and validation. The product
+in the fibre, the congruence R* S R and validation. The product
 of the returned transition matrices carries R to the twisted classes,
 R' = R C.
 """
@@ -35,13 +35,9 @@ from qlefschetz.moves import (
 
 from oracles import sphere_sum_windows
 
-def resolve(fibre, specs):
+def resolve(fibre, spheres, specs):
     """Each (word, seed) spec as a class: the word acting on that sphere."""
-    spheres = list(fibre.sphere_classes)
-    return [
-        apply_twist_word(fibre.dim - 1, fibre.mukai, spheres, word, spheres[seed])
-        for word, seed in specs
-    ]
+    return [apply_twist_word(fibre, spheres, word, spheres[seed]) for word, seed in specs]
 
 
 @st.composite
@@ -51,15 +47,16 @@ def fibre_classes(draw):
     kind = draw(st.sampled_from(["xab", "mirror", "words"]))
     if kind == "xab":
         a, b = draw(st.sampled_from([(1, 2), (2, 3), (2, 5), (3, 4)]))
-        return milnor_ar(a + b - 1, n), sphere_sum_windows(a, b, n)
+        return milnor_ar(a + b - 1, n)[0], sphere_sum_windows(a, b, n)
     if kind == "mirror":
-        fibre = milnor_ar(3, n)
-        return fibre, resolve(fibre, [(TwistWord.parse(w), s) for w, s in MIRROR_P2_WORDS])
+        fibre, spheres = milnor_ar(3, n)
+        specs = [(TwistWord.parse(w), s) for w, s in MIRROR_P2_WORDS]
+        return fibre, resolve(fibre, spheres, specs)
     r = draw(st.integers(1, 4))
     letters = st.tuples(st.integers(0, r), st.sampled_from([1, -1]))
     specs = st.tuples(st.lists(letters, max_size=3).map(tuple).map(TwistWord), st.integers(0, r))
-    fibre = milnor_ar(r, n)
-    return fibre, resolve(fibre, draw(st.lists(specs, min_size=2, max_size=4)))
+    fibre, spheres = milnor_ar(r, n)
+    return fibre, resolve(fibre, spheres, draw(st.lists(specs, min_size=2, max_size=4)))
 
 
 def columns(classes) -> LaurentMatrix:
@@ -71,7 +68,7 @@ def columns(classes) -> LaurentMatrix:
 @given(fibre_classes(), st.lists(st.tuples(st.integers(0, 10), st.booleans()), max_size=8))
 def test_hurwitz_moves_are_induced_by_fibre_twists(data, braid):
     fibre, classes = data
-    gram, m = fibre.mukai, len(classes)
+    m = len(classes)
     total = induced_total_space(fibre, classes)
     start = columns(classes)
     product = LaurentMatrix.identity(m)
@@ -80,10 +77,10 @@ def test_hurwitz_moves_are_induced_by_fibre_twists(data, braid):
         c_k, c_next = classes[k], classes[k + 1]
         if forward:
             total, c = hurwitz_move(total, k)
-            classes[k : k + 2] = [dehn_twist_class(gram, c_k, c_next), c_k]
+            classes[k : k + 2] = [dehn_twist_class(fibre, c_k, c_next), c_k]
         else:
             total, c = hurwitz_inverse_move(total, k)
-            twisted = inverse_dehn_twist_class(fibre.dim - 1, gram, c_next, c_k)
+            twisted = inverse_dehn_twist_class(fibre, c_next, c_k)
             classes[k : k + 2] = [c_next, twisted]
         assert total == induced_total_space(fibre, classes), (k, forward)
         product = product @ c

@@ -68,7 +68,7 @@ def test_hurwitz_transition_columns_are_twist_images():
             _, c = hurwitz_move(alg, k)
             e_k = KClass.basis_vector(4, k)
             e_next = KClass.basis_vector(4, k + 1)
-            twisted = dehn_twist_class(alg.seifert, e_k, e_next)
+            twisted = dehn_twist_class(alg, e_k, e_next)
             assert KClass([c[i, k] for i in range(4)]) == twisted
             assert KClass([c[i, k + 1] for i in range(4)]) == e_k
 
@@ -271,7 +271,7 @@ def test_dehn_twist_examples():
         cover, c0 = spherical_pair(rng, dim)
         sign = cover.parity_sign
         # Twisting a spherical class along itself scales it by -(-1)^n q.
-        assert dehn_twist_class(cover.seifert, c0, c0) == c0.scale(
+        assert dehn_twist_class(cover, c0, c0) == c0.scale(
             LaurentPoly.monomial(-sign, 1)
         )
         # Orthogonal classes are untouched, by either twist.
@@ -279,8 +279,8 @@ def test_dehn_twist_examples():
         for _ in range(10):
             c1 = rand_kclass(rng, m)
             if gram_pairing(cover.seifert, c0, c1).is_zero():
-                assert dehn_twist_class(cover.seifert, c0, c1) == c1
-                assert inverse_dehn_twist_class(dim, cover.seifert, c0, c1) == c1
+                assert dehn_twist_class(cover, c0, c1) == c1
+                assert inverse_dehn_twist_class(cover, c0, c1) == c1
 
 
 def test_dehn_twist_pairing_identity():
@@ -290,7 +290,7 @@ def test_dehn_twist_pairing_identity():
         s = alg.seifert
         for _ in range(30):
             c0, c1, c2 = (rand_kclass(rng, 4) for _ in range(3))
-            twisted = dehn_twist_class(s, c0, c1)
+            twisted = dehn_twist_class(alg, c0, c1)
             assert gram_pairing(s, c2, twisted) == gram_pairing(s, c2, c1) - gram_pairing(
                 s, c2, c0
             ) * gram_pairing(s, c0, c1)
@@ -304,7 +304,7 @@ def test_inverse_dehn_twist_pairing_identity():
         scale = LaurentPoly.monomial(alg.parity_sign, -1)
         for _ in range(30):
             c0, c1, c2 = (rand_kclass(rng, 4) for _ in range(3))
-            untwisted = inverse_dehn_twist_class(dim, s, c0, c1)
+            untwisted = inverse_dehn_twist_class(alg, c0, c1)
             assert gram_pairing(s, c2, untwisted) == gram_pairing(
                 s, c2, c1
             ) - scale * gram_pairing(s, c2, c0) * gram_pairing(s, c0, c1)
@@ -317,16 +317,16 @@ def test_twist_inverse_composition_on_spherical_objects():
             cover, c0 = spherical_pair(rng, dim)
             m = cover.size
             c1 = rand_kclass(rng, m)
-            forward = dehn_twist_class(cover.seifert, c0, c1)
-            assert inverse_dehn_twist_class(dim, cover.seifert, c0, forward) == c1
-            backward = inverse_dehn_twist_class(dim, cover.seifert, c0, c1)
-            assert dehn_twist_class(cover.seifert, c0, backward) == c1
+            forward = dehn_twist_class(cover, c0, c1)
+            assert inverse_dehn_twist_class(cover, c0, forward) == c1
+            backward = inverse_dehn_twist_class(cover, c0, c1)
+            assert dehn_twist_class(cover, c0, backward) == c1
 
 
 def test_inverse_twist_of_spherical_class_along_itself_even_case():
     rng = random.Random(29)
     cover, c0 = spherical_pair(rng, 4)
-    assert inverse_dehn_twist_class(4, cover.seifert, c0, c0) == c0.scale(
+    assert inverse_dehn_twist_class(cover, c0, c0) == c0.scale(
         LaurentPoly.monomial(-1, -1)
     )
 
@@ -343,11 +343,11 @@ def test_iterated_spherical_twists_invert_through_long_orbits():
     current = matching[1]
     history = [current]
     for _ in range(50):
-        current = dehn_twist_class(cover.seifert, c0, current)
+        current = dehn_twist_class(cover, c0, current)
         history.append(current)
     assert max(abs(c.degree()) for c in current.coords if not c.is_zero()) >= 50
     for previous in reversed(history[:-1]):
-        current = inverse_dehn_twist_class(cover.dim, cover.seifert, c0, current)
+        current = inverse_dehn_twist_class(cover, c0, current)
         assert current == previous
 
 
@@ -366,7 +366,7 @@ def test_iterated_non_spherical_twists_grow_exactly():
     heavy_eval = [c.evaluate(Fraction(2)) for c in heavy.coords]
     for _ in range(25):
         value = pair(alg.seifert, heavy, current)
-        current = dehn_twist_class(alg.seifert, heavy, current)
+        current = dehn_twist_class(alg, heavy, current)
         scalar = value.evaluate(Fraction(2))
         tracked = [t - scalar * h for t, h in zip(tracked, heavy_eval)]
     peak = max(abs(coeff) for c in current.coords for _, coeff in c.items())
@@ -396,17 +396,25 @@ def test_twist_letters_take_ascii_digits_only(token):
 
 def test_apply_twist_word():
     rng = random.Random(31)
-    alg = rand_algebra(rng, 3, 4)
-    target = rand_kclass(rng, 3)
-    gens = [KClass.basis_vector(3, i) for i in range(3)]
-    assert apply_twist_word(4, alg.seifert, gens, TwistWord(()), target) == target
-    # A one-letter word is a single twist; order in longer words is right
-    # to left.
-    one = apply_twist_word(4, alg.seifert, gens, TwistWord.parse("t2"), target)
-    assert one == dehn_twist_class(alg.seifert, gens[1], target)
-    two = apply_twist_word(4, alg.seifert, gens, TwistWord.parse("t1 t2"), target)
-    assert two == dehn_twist_class(
-        alg.seifert, gens[0], dehn_twist_class(alg.seifert, gens[1], target)
-    )
-    with pytest.raises(IndexError):
-        apply_twist_word(4, alg.seifert, gens, TwistWord.parse("t4"), target)
+    for dim in (4, 3):
+        alg = rand_algebra(rng, 3, dim)
+        target = rand_kclass(rng, 3)
+        gens = [KClass.basis_vector(3, i) for i in range(3)]
+        assert apply_twist_word(alg, gens, TwistWord(()), target) == target
+        # A one-letter word is a single twist; order in longer words is right
+        # to left.
+        one = apply_twist_word(alg, gens, TwistWord.parse("t2"), target)
+        assert one == dehn_twist_class(alg, gens[1], target)
+        two = apply_twist_word(alg, gens, TwistWord.parse("t1 t2"), target)
+        assert two == dehn_twist_class(alg, gens[0], dehn_twist_class(alg, gens[1], target))
+        # An inverse letter takes its sign from the datum's own n:
+        # c1 -> c1 - (-1)^n q^-1 <c0, c1> c0.
+        pairing = gram_pairing(alg.seifert, gens[2], target)
+        assert not pairing.is_zero()
+        sign = -1 if dim % 2 else 1
+        untwisted = target - gens[2].scale(LaurentPoly.monomial(sign, -1) * pairing)
+        word = TwistWord.parse("t1 t3^-1")
+        expected = untwisted - gens[0].scale(gram_pairing(alg.seifert, gens[0], untwisted))
+        assert apply_twist_word(alg, gens, word, target) == expected
+        with pytest.raises(IndexError):
+            apply_twist_word(alg, gens, TwistWord.parse("t4"), target)

@@ -93,7 +93,7 @@ def test_congruence_equals_the_pairwise_matrix(case):
 
 
 def test_a_class_of_the_wrong_length_raises():
-    gram = milnor_ar(3, 4).mukai
+    gram = milnor_ar(3, 4)[0].seifert
     good = KClass.basis_vector(4, 1)
     for classes in ([KClass.zero(3)], [good, KClass.zero(5)], [good, good, KClass([1])]):
         with pytest.raises(ValueError, match="has length"):
@@ -107,10 +107,10 @@ def test_a_class_of_the_wrong_length_raises():
 
 def xab_windows(a: int, b: int, n: int) -> tuple[LaurentMatrix, list[KClass]]:
     """The fibre's Mukai matrix and the window classes of the (a, b) family."""
-    fibre = milnor_ar(a + b - 1, n)
-    m, spheres = a + b, fibre.sphere_classes
+    fibre, spheres = milnor_ar(a + b - 1, n)
+    m = a + b
     windows = [sum((spheres[(i + s) % m] for s in range(1, a)), spheres[i]) for i in range(m)]
-    return fibre.mukai, windows
+    return fibre.seifert, windows
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -127,27 +127,26 @@ def test_xab_is_the_pairwise_matrix_of_its_windows(a, b, n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_mirror_p2_is_the_pairwise_matrix_of_its_twisted_spheres(n):
-    fibre = milnor_ar(3, n)
-    spheres = list(fibre.sphere_classes)
+    fibre, spheres = milnor_ar(3, n)
     twisted = [
-        apply_twist_word(n - 1, fibre.mukai, spheres, TwistWord.parse(word), spheres[seed])
+        apply_twist_word(fibre, spheres, TwistWord.parse(word), spheres[seed])
         for word, seed in (("t2", 0), ("t2^-1 t1", 3), ("t3 t1", 1))
     ]
-    expected = pairwise_pairing_matrix(fibre.mukai, twisted)
-    assert pairing_matrix(fibre.mukai, twisted) == expected
+    expected = pairwise_pairing_matrix(fibre.seifert, twisted)
+    assert pairing_matrix(fibre.seifert, twisted) == expected
     assert mirror_p2(n).intersection == expected
 
 
 def induce_fixture() -> tuple[LefschetzAlgebra, list[KClass]]:
     """The A_4 fibre as a parity-3 datum, and its spheres as generators."""
-    milnor = milnor_ar(4, 4)
-    return LefschetzAlgebra.from_seifert(3, milnor.mukai), list(milnor.sphere_classes)
+    fibre, spheres = milnor_ar(4, 4)
+    return fibre, list(spheres)
 
 
 def resolve(fibre: LefschetzAlgebra, generators: list[KClass], specs) -> list[KClass]:
     return [
         spec if isinstance(spec, KClass)
-        else apply_twist_word(fibre.dim, fibre.seifert, generators, spec[0], generators[spec[1]])
+        else apply_twist_word(fibre, generators, spec[0], generators[spec[1]])
         for spec in specs
     ]
 

@@ -1,7 +1,8 @@
 """
-The README's code runs as written. Its library quick start prints what its
-comments say. Its command-line block exits 0 in a fresh directory, and
-`catalog induce` prints the datum the README says, in either parity.
+The README's code runs as written. Its library quick start and induction
+example print what their comments say. Its command-line block exits 0 in a
+fresh directory, and `catalog induce` prints the datum the README says, in
+either parity.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ from pathlib import Path
 
 from qlefschetz.catalog import induced_total_space, milnor_ar
 from qlefschetz.cli import main
-from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.serialize import class_specs_from_obj, dumps_canonical, fibration_to_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCK = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", README, re.S | re.M).group(1)
 CLASSES = re.search(r"^cat > classes.json <<'EOF'\n(.*?)^EOF", BLOCK, re.S | re.M).group(1)
-QUICK_START = re.search(
-    r"^## Library quick start\n.*?^```python\n(.*?)^```", README, re.S | re.M
-).group(1)
+LIBRARY = re.search(r"^## Library quick start\n(.*?)^## ", README, re.S | re.M).group(1)
+QUICK_START, INDUCTION = re.findall(r"^```python\n(.*?)^```", LIBRARY, re.S | re.M)
 # qlef as the console script runs it, without needing it installed.
 QLEF = (
     'qlef() { "$QLEF_PYTHON" -c '
@@ -71,6 +70,13 @@ def test_the_readme_quick_start_prints_its_comments():
     assert str(namespace["h"]) == "(1, 1, 1, 1, 1)"
 
 
+def test_the_readme_induction_example_builds_the_mirror_plane():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(INDUCTION, {})
+    assert out.getvalue() == "True\nTrue\n"
+
+
 def test_the_readme_classes_induce_an_odd_total_space(tmp_path):
     # catalog milnor --n 3 writes an n = 2 fibre; the total space is n = 3.
     fibre_path = str(tmp_path / "fibre.json")
@@ -79,7 +85,7 @@ def test_the_readme_classes_induce_an_odd_total_space(tmp_path):
     (tmp_path / "classes.json").write_text(CLASSES, encoding="utf-8")
     out = induce(tmp_path, "classes.json")
     generators, specs = class_specs_from_obj(json.loads(CLASSES), 5)
-    fibre = LefschetzAlgebra.from_seifert(2, milnor_ar(4, 3).mukai)
+    fibre, _ = milnor_ar(4, 3)
     expected = fibration_to_obj(induced_total_space(fibre, specs, generators))
     assert out == dumps_canonical(expected)
     induced = json.loads(out)

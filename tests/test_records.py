@@ -1,7 +1,7 @@
 """
 The immutable records of the package and its lazily resolved public names.
 
-The six record classes share one frozen base in place of frozen
+The five record classes share one frozen base in place of frozen
 dataclasses; each must keep what the dataclass gave: field equality and
 hashing, no assignment or deletion, and the Name(field=value, ...) repr.
 """
@@ -13,7 +13,7 @@ import importlib
 import pytest
 
 import qlefschetz
-from qlefschetz.catalog import MilnorData, milnor_ar, xab
+from qlefschetz.catalog import xab
 from qlefschetz.laurent import q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
@@ -47,12 +47,6 @@ RECORDS = [
         ("verdict", "branch", "witness", "reason", "kernel", "self_pairings"),
         lambda: SphereTestResult(Verdict.INCONCLUSIVE, "kernel rank 2", reason="rank"),
         lambda: SphereTestResult(Verdict.INCONCLUSIVE, "kernel rank 2", reason="other"),
-    ),
-    (
-        MilnorData,
-        ("chain_length", "dim", "mukai", "sphere_classes"),
-        lambda: milnor_ar(2, 3),
-        lambda: MilnorData(2, 4, milnor_ar(2, 3).mukai, milnor_ar(2, 3).sphere_classes),
     ),
 ]
 
@@ -98,7 +92,7 @@ def test_record_repr_and_construction():
 
 PUBLIC = {
     "ConsistencyError", "ExactDivisionError", "HypothesisError", "KClass", "LaurentMatrix",
-    "LaurentPoly", "LefschetzAlgebra", "MilnorData", "SphereTestResult", "TwistWord",
+    "LaurentPoly", "LefschetzAlgebra", "SphereTestResult", "TwistWord",
     "Verdict", "apply_twist_word", "betti_lower_bound", "dehn_twist_class", "gcd_many",
     "gram_pairing", "hurwitz_inverse_move", "hurwitz_move", "independence_certificate",
     "induced_total_space", "inverse_dehn_twist_class", "kernel_classes", "laurent_gcd",
