@@ -25,7 +25,7 @@ from typing import Sequence, Union
 from .laurent import LaurentPoly
 from .lefschetz import LefschetzAlgebra, parity_sign
 from .matrix import KClass, LaurentMatrix, pairing_matrix
-from .moves import TwistWord, apply_twist_word
+from .moves import TwistWord, _checked, apply_twist_word
 
 ClassSpec = Union[KClass, tuple[TwistWord, int]]
 
@@ -45,9 +45,7 @@ def milnor_ar(r: int, n: int) -> tuple[LefschetzAlgebra, tuple[KClass, ...]]:
     mukai = LaurentMatrix.from_rows(
         [[1 if i == j else upper if i < j else 0 for j in range(m)] for i in range(m)]
     )
-    spheres = tuple(
-        KClass.basis_vector(m, (k + 1) % m) - KClass.basis_vector(m, k) for k in range(m)
-    )
+    spheres = tuple(KClass.cone(m, k, (k + 1) % m) for k in range(m))
     return LefschetzAlgebra.from_seifert(n - 1, mukai), spheres
 
 
@@ -75,11 +73,7 @@ def induced_total_space(
             resolved.append(spec)
         else:
             word, seed = spec
-            if not 0 <= seed < len(generators):
-                raise IndexError(
-                    f"seed {seed + 1} is not among the {len(generators)} generators "
-                    "(numbered from 1)"
-                )
+            _checked("seed", seed, len(generators))
             resolved.append(apply_twist_word(fibre, generators, word, generators[seed]))
 
     return LefschetzAlgebra.from_intersection(
@@ -102,7 +96,7 @@ def xab(a: int, b: int, n: int) -> LefschetzAlgebra:
     if n < 3:
         raise ValueError(f"the induction needs n >= 3, got {n}")
     m = a + b
-    windows = [KClass.basis_vector(m, (i + a) % m) - KClass.basis_vector(m, i) for i in range(m)]
+    windows = [KClass.cone(m, i, (i + a) % m) for i in range(m)]
     return induced_total_space(milnor_ar(m - 1, n)[0], windows)
 
 

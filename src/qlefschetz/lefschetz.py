@@ -159,8 +159,7 @@ class LefschetzAlgebra(FrozenRecord):
             entries += (zero,) * m + s.row(i)
         seifert = LaurentMatrix(2 * m, 2 * m, tuple(entries))
         cover = LefschetzAlgebra.from_seifert(self.dim, seifert)
-        basis = KClass.basis_vector
-        matching = [basis(2 * m, k + m) - basis(2 * m, k) for k in range(m)]
+        matching = [KClass.cone(2 * m, k, k + m) for k in range(m)]
         return cover, matching
 
 

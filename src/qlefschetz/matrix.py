@@ -94,6 +94,13 @@ class KClass(FrozenRecord):
             raise IndexError(f"basis index {k} out of range for size {m}")
         return cls([1 if i == k else 0 for i in range(m)])
 
+    @classmethod
+    def cone(cls, m: int, i: int, j: int) -> KClass:
+        """e_j - e_i (0-based, i != j): the class of the cone of a morphism from object i to j."""
+        coords = [LaurentPoly.zero()] * m
+        coords[i], coords[j] = -LaurentPoly.one(), LaurentPoly.one()
+        return cls(coords)
+
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -203,10 +210,6 @@ class LaurentMatrix(FrozenRecord):
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_unitriangular(self) -> bool:
-        """Upper-triangular with every diagonal entry equal to 1."""
-        return self.unitriangular_defect() is None
 
     def unitriangular_defect(self) -> str | None:
         """Why the matrix is not unitriangular, naming its first bad entry 1-based; else None."""
@@ -335,8 +338,8 @@ class LaurentMatrix(FrozenRecord):
         Inverse of an upper-triangular matrix with unit diagonal; exists
         over Z[q, q^-1] and is computed by back-substitution, column by column.
         """
-        if not self.is_unitriangular():
-            raise ValueError("matrix is not upper-triangular with unit diagonal")
+        if (bad := self.unitriangular_defect()) is not None:
+            raise ValueError(f"matrix must be upper-triangular with unit diagonal: {bad}")
         m = self.rows
         rows = self.to_rows()
         zero = LaurentPoly.zero()

@@ -165,7 +165,7 @@ def _conjugate(
 
 
 def _checked(what: str, k: int, count: int) -> None:
-    """Refuse a 0-based k outside range(count), naming it and the range from 1."""
+    """The one index rule: refuse a 0-based k outside range(count), naming it as typed, from 1."""
     if not 0 <= k < count:
         raise IndexError(f"{what} {k + 1} is not among 1..{max(count, 0)} (numbered from 1)")
 
@@ -201,14 +201,12 @@ def apply_twist_word(
     """
     Apply a word of signed Dehn twists in `alg` to `target`, rightmost
     letter first. The twisting objects are picked from `generators` by the
-    letter's index.
+    letter's index; a letter beyond them is refused before any twist.
     """
+    for gen, _ in word.letters:
+        _checked("twist generator", gen, len(generators))
     result = target
     for gen, sign in reversed(word.letters):
-        if gen >= len(generators):
-            raise IndexError(
-                f"twist letter t{gen + 1} exceeds the {len(generators)} generators"
-            )
         if sign == 1:
             result = dehn_twist_class(alg, generators[gen], result)
         else:

@@ -203,9 +203,10 @@ def class_specs_from_obj(
     {"word": "t2 t1^-1", "seed": k} entries, k a 1-based generator index;
     either key may be absent, and is then returned as None. Word entries are
     returned as (TwistWord, 0-based seed index), the spec form that
-    induced_total_space resolves against the fibre.
+    induced_total_space resolves against the fibre. A seed or letter picks one
+    of the generators: the file's, else the fibre's `size` thimbles.
     """
-    from .moves import TwistWord
+    from .moves import TwistWord, _checked
 
     if not isinstance(obj, dict):
         raise FileFormatError("classes: expected a JSON object")
@@ -219,32 +220,36 @@ def class_specs_from_obj(
         ]
     if "classes" not in obj:
         return generators, None
+    count = size if generators is None else len(generators)
     entries = obj["classes"]
     if not isinstance(entries, list):
         raise FileFormatError("classes.classes: expected an array")
     specs: list[ClassSpec] = []
     for i, entry in enumerate(entries):
+        where = f"classes.classes[{i}]"
         if not isinstance(entry, dict):
-            raise FileFormatError(f"classes.classes[{i}]: expected an object")
+            raise FileFormatError(f"{where}: expected an object")
         if "vector" in entry:
-            specs.append(kclass_from_obj(entry["vector"], f"classes.classes[{i}].vector", size))
+            specs.append(kclass_from_obj(entry["vector"], f"{where}.vector", size))
         elif "word" in entry:
             if not isinstance(entry["word"], str):
-                raise FileFormatError(f"classes.classes[{i}].word: expected a string")
+                raise FileFormatError(f"{where}.word: expected a string")
             try:
                 word = TwistWord.parse(entry["word"])
-            except ValueError as exc:
-                raise FileFormatError(f"classes.classes[{i}].word: {exc}") from exc
+                for gen, _ in word.letters:
+                    _checked("twist generator", gen, count)
+            except (ValueError, IndexError) as exc:
+                raise FileFormatError(f"{where}.word: {exc}") from exc
             seed = entry.get("seed")
-            if not _integer(seed) or seed < 1:
-                raise FileFormatError(
-                    f"classes.classes[{i}].seed: expected a 1-based generator index"
-                )
+            if not _integer(seed):
+                raise FileFormatError(f"{where}.seed: expected a 1-based generator index")
+            try:
+                _checked("seed", seed - 1, count)
+            except IndexError as exc:
+                raise FileFormatError(f"{where}.seed: {exc}") from exc
             specs.append((word, seed - 1))
         else:
-            raise FileFormatError(
-                f"classes.classes[{i}]: needs either 'vector' or 'word'"
-            )
+            raise FileFormatError(f"{where}: needs either 'vector' or 'word'")
     return generators, specs
 
 

@@ -402,6 +402,31 @@ FIRST_SPHERE = [poly_to_obj(c) for c in milnor_ar(4, 4)[1][0].coords]
 
 
 @pytest.mark.parametrize(
+    "entry, generators, message",
+    [
+        ({"word": "t1", "seed": 7}, None,
+         "classes.classes[1].seed: seed 7 is not among 1..5 (numbered from 1)"),
+        ({"word": "t9", "seed": 2}, None,
+         "classes.classes[1].word: twist generator 9 is not among 1..5 (numbered from 1)"),
+        ({"word": "t3", "seed": 1}, [FIRST_SPHERE, FIRST_SPHERE],
+         "classes.classes[1].word: twist generator 3 is not among 1..2 (numbered from 1)"),
+    ],
+    ids=["seed", "letter", "letter-beyond-file-generators"],
+)
+def test_catalog_induce_names_index_beyond_generators(
+    tmp_path, capsys, entry, generators, message
+):
+    # The generators are the file's, else the fibre's thimbles.
+    classes = [{"word": "t2", "seed": 1}, entry]
+    argv = write_induce_inputs(tmp_path, capsys, classes, generators)
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"bad input: {message}\n"
+
+
+@pytest.mark.parametrize(
     "classes, generators, message",
     [
         ([{"word": "t1", "seed": 1}], [FIRST_SPHERE, [[[0, "1"]]]],
@@ -910,3 +935,11 @@ def test_twist_target_index_out_of_range(tmp_path, capsys, index):
     assert code == 2
     assert captured.out == ""
     assert f"target index {index} is not among 1..5 (numbered from 1)" in captured.err
+
+
+def test_twist_refuses_letter_beyond_generators(tmp_path, capsys):
+    code = main(["twist", str(write_xab(tmp_path)), "t9", "--target-index", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: twist generator 9 is not among 1..5 (numbered from 1)\n"

@@ -192,6 +192,11 @@ def test_unitriangular_inverse():
         LaurentMatrix.from_rows([[2, 0], [0, 1]]).unitriangular_inverse()
 
 
+def test_cone_class_is_the_difference_of_basis_vectors():
+    for m, i, j in ((2, 0, 1), (2, 1, 0), (5, 4, 0), (6, 1, 4)):
+        assert KClass.cone(m, i, j) == KClass.basis_vector(m, j) - KClass.basis_vector(m, i)
+
+
 def test_nullspace_of_zero_matrix():
     assert LaurentMatrix.from_rows([[0, 0], [0, 0]]).nullspace() == [
         KClass([1, 0]),

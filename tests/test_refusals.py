@@ -9,12 +9,14 @@ import re
 
 import pytest
 
-from qlefschetz.catalog import mirror_p2
+from qlefschetz.catalog import induced_total_space, milnor_ar, mirror_p2
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
-from qlefschetz.moves import TwistWord
+from qlefschetz.moves import TwistWord, apply_twist_word
 from qlefschetz.serialize import dumps_canonical
+
+FIBRE, SPHERES = milnor_ar(4, 4)
 
 REFUSALS = {
     "zero-degree": (
@@ -81,6 +83,21 @@ REFUSALS = {
         lambda: TwistWord(((-1, 1),)),
         ValueError,
         "generator index -1 is negative",
+    ),
+    "twist-letter-range": (
+        lambda: apply_twist_word(FIBRE, SPHERES, TwistWord.parse("t9"), SPHERES[0]),
+        IndexError,
+        "twist generator 9 is not among 1..5 (numbered from 1)",
+    ),
+    "seed-range": (
+        lambda: induced_total_space(FIBRE, [(TwistWord.parse("t1"), 6)]),
+        IndexError,
+        "seed 7 is not among 1..5 (numbered from 1)",
+    ),
+    "non-unitriangular-inverse": (
+        lambda: LaurentMatrix.from_rows([[1, 0], [q, 1]]).unitriangular_inverse(),
+        ValueError,
+        "matrix must be upper-triangular with unit diagonal: entry (2, 1) is q",
     ),
     "mirror-dimension": (
         lambda: mirror_p2(2),

@@ -74,7 +74,7 @@ def test_triangle_check_agrees_with_full_regeneration(case):
         assert got[0] == "accepted"
         alg = got[1]
         assert alg.intersection == expected[1] == b
-        assert alg.seifert.is_unitriangular()
+        assert alg.seifert.unitriangular_defect() is None
         assert LefschetzAlgebra.from_seifert(dim, alg.seifert).intersection == b
     else:
         assert got == expected
