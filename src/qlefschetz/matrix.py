@@ -2,15 +2,30 @@
 Exact linear algebra over Z[q, q^-1].
 
 Matrices are dense and immutable; a product walks only the nonzero entries
-of each factor, row by row. Determinants, ranks and nullspaces are computed
-by fraction-free elimination in the Bareiss style, and kernel vectors by
-fraction-free back-substitution: every intermediate entry is a minor of the
-input and every division is exact. Only the distinct rows are eliminated: a
-repeated row, such as each bottom row of a double cover's [[B, B], [B, B]],
-adds no equation. Each update is one call of the ring's one kernel
-laurent._cross_div; elimination skips updates that cannot change a value
-and keeps a denominator per row, so rows with a zero head are never
-rescaled (see _bareiss). Nullspace vectors are returned as primitive
+of each factor, row by row, one call of the ring's kernel
+laurent._cross_div per entry.
+
+Determinants, ranks and nullspaces are computed by fraction-free (Bareiss)
+elimination on Python integers (see _bareiss): each distinct row is shifted
+to valuation 0 and evaluated at q = 2^bits, bits a multiple of 8, so that
+packing and unpacking are int.to_bytes and int.from_bytes. Every entry the
+elimination keeps is a minor, and each kernel vector comes from
+back-substitution seeded with the last pivot (Cramer's rule), so every
+division is exact. The determinant and each kernel vector are read back as
+balanced base-2^bits digits. There are two precisions (see _precisions):
+
+- the proven one, from Hadamard's bound on every minor's coefficients, at
+  which every zero test and every digit read back is exact;
+- the fast one, 32 bits, tried first when it is smaller and holds every
+  input coefficient. Its result stands only when every kernel vector
+  satisfies B @ v == 0 exactly; since evaluating q can only lower the rank,
+  that also proves the rank and the pivot columns. A nonsingular
+  determinant cannot be checked that way, so it, and any failed check, is
+  computed again at the proven precision.
+
+Only the distinct rows are eliminated: a repeated row, such as each bottom
+row of a double cover's [[B, B], [B, B]], adds no equation. Their exponent
+window is held to MAX_WINDOW. Nullspace vectors are returned as primitive
 K-theory classes: the gcd of the entries divided out (laurent_gcd, a
 primitive remainder sequence over Z) and the unit ambiguity (+-q^k) fixed
 canonically.
@@ -18,11 +33,21 @@ canonically.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Sequence, Union
 
-from .laurent import IntoPoly, LaurentPoly, _cross_div, gcd_many
+from .laurent import IntoPoly, LaurentPoly, _cross_div, _poly, gcd_many
 
 EntryLike = Union[int, LaurentPoly]
+
+#: det, rank and nullspace refuse a matrix whose distinct rows have an
+#: exponent window W (see _distinct_rows) over MAX_WINDOW: elimination works
+#: on integers of about bits * W bits, and its exact divisions are quadratic.
+MAX_WINDOW = 2**13
+
+#: Elimination first runs at q = 2^_FAST_BITS when that is below the proven
+#: precision and holds every input coefficient; see _precisions.
+_FAST_BITS = 32
 
 
 class FrozenRecord:
@@ -291,47 +316,43 @@ class LaurentMatrix(FrozenRecord):
 
     def det(self) -> LaurentPoly:
         """
-        Exact determinant by fraction-free elimination. An empty 0x0 matrix
-        has determinant 1, and a matrix with a repeated row has determinant
-        0 without any elimination.
+        Exact determinant by fraction-free elimination at q = 2^bits. An
+        empty 0x0 matrix has determinant 1, and a matrix with a repeated row
+        has determinant 0 without any elimination. A zero found at the fast
+        precision stands once a kernel vector proves it; any other value is
+        computed at the proven precision.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         rows = _distinct_rows(self)
         if len(rows) < self.rows:
             return LaurentPoly.zero()
-        work, pivot_cols, sign = _bareiss(rows)
+        fast, proven = _precisions(rows)
+        if fast is not None:
+            _, kernel = _cramer_vectors(rows, self.cols, fast)
+            if kernel and _annihilates(rows, kernel):
+                return LaurentPoly.zero()
+        work, pivot_cols, sign = _bareiss(_packed(rows, proven))
         if len(pivot_cols) < self.rows:
             return LaurentPoly.zero()
-        last = work[self.rows - 1][pivot_cols[-1]] if self.rows else LaurentPoly.one()
-        return -last if sign < 0 else last
+        last = work[-1][-1] if self.rows else 1
+        return _unpack(sign * last, proven, sum(_valuations(rows)))
 
     def rank(self) -> int:
         """Rank over the fraction field Q(q), eliminating the distinct rows only."""
-        _, pivot_cols, _ = _bareiss(_distinct_rows(self))
-        return len(pivot_cols)
+        return len(_kernel(_distinct_rows(self), self.cols)[0])
 
     def nullspace(self) -> list[KClass]:
         """
         A basis of the right nullspace over Q(q), one canonical primitive
-        vector per free column, each satisfying self @ v == 0 exactly. Only
+        vector per free column, each satisfying self @ v == 0 exactly; it
+        generates the integral kernel when every free entry is a unit. Only
         the distinct rows are eliminated: a repeated row adds no equation,
         so the pivot columns and the kernel vector of each free column (the
         one vanishing at the other free columns) are those of all the rows.
         """
-        work, pivot_cols, _ = _bareiss(_distinct_rows(self))
-        basis: list[KClass] = []
-        k = 0  # pivots left of the current column
-        for free in range(self.cols):
-            if k < len(pivot_cols) and pivot_cols[k] == free:
-                k += 1
-                continue
-            # The last pivot as seed makes every division exact (Cramer's rule).
-            coords = [LaurentPoly.zero()] * self.cols
-            coords[free] = work[k - 1][pivot_cols[k - 1]] if k else LaurentPoly.one()
-            _back_substitute(work[:k], pivot_cols[:k], coords)
-            basis.append(KClass(coords).canonical_primitive())
-        return basis
+        _, kernel = _kernel(_distinct_rows(self), self.cols)
+        return [KClass(v).canonical_primitive() for v in kernel]
 
     def unitriangular_inverse(self) -> LaurentMatrix:
         """
@@ -342,13 +363,16 @@ class LaurentMatrix(FrozenRecord):
             raise ValueError(f"matrix must be upper-triangular with unit diagonal: {bad}")
         m = self.rows
         rows = self.to_rows()
-        zero = LaurentPoly.zero()
+        zero, minus_one = LaurentPoly.zero(), -LaurentPoly.one()
         columns: list[list[LaurentPoly]] = []
         for j in range(m):
-            # Column j of the inverse is zero below row j.
-            column = [zero] * j + [LaurentPoly.one()]
-            _back_substitute(rows[: j + 1], range(j + 1), column)
-            columns.append(column + [zero] * (m - 1 - j))
+            # Column j of the inverse is zero below row j and 1 at it. Above,
+            # bottom up, x[p] = -(sum of rows[p][l] x[l] over p < l <= j), as
+            # one kernel call on the sum over -1.
+            x = [zero] * j + [LaurentPoly.one()]
+            for p in range(j - 1, -1, -1):
+                x[p] = _cross_div(list(zip(rows[p][p + 1 : j + 1], x[p + 1 :])), minus_one)
+            columns.append(x + [zero] * (m - 1 - j))
         return LaurentMatrix(m, m, tuple(columns[j][i] for i in range(m) for j in range(m)))
 
     def __str__(self) -> str:
@@ -397,98 +421,220 @@ def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
 
 
 def _distinct_rows(matrix: LaurentMatrix) -> list[list[LaurentPoly]]:
-    """The rows of matrix without repeats, each kept where it first occurs."""
-    rows: dict[tuple[tuple[int, tuple[int, ...]], ...], list[LaurentPoly]] = {}
+    """
+    The rows of matrix without repeats, each kept where it first occurs.
+    Refuses rows whose exponent window W, the lesser of the sums of their
+    row windows and of their column windows, exceeds MAX_WINDOW, naming the
+    widest row 1-based: W bounds the span of every minor.
+    """
+    rows: dict[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, list[LaurentPoly]]] = {}
     for i in range(matrix.rows):
         row = matrix.row(i)
-        rows.setdefault(tuple([(p._val, p._coeffs) for p in row]), list(row))
-    return list(rows.values())
+        rows.setdefault(tuple([(p._val, p._coeffs) for p in row]), (i, list(row)))
+    widths = [(_width(row), i) for i, row in rows.values()]
+    window = min(sum(w for w, _ in widths), sum(map(_width, zip(*(r for _, r in rows.values())))))
+    if window > MAX_WINDOW:
+        width, i = max(widths, key=lambda wi: (wi[0], -wi[1]))
+        raise ValueError(
+            f"exponent window {window} exceeds the elimination budget {MAX_WINDOW}: "
+            f"row {i + 1} alone spans {width}"
+        )
+    return [row for _, row in rows.values()]
 
 
-def _back_substitute(
-    rows: Sequence[Sequence[LaurentPoly]], pivot_cols: Sequence[int], x: list[LaurentPoly]
-) -> None:
+def _width(line: Iterable[LaurentPoly]) -> int:
+    """Highest degree minus lowest valuation over the nonzero entries; 0 if there are none."""
+    ends = [(p._val, p._val + len(p._coeffs) - 1) for p in line if p._coeffs]
+    return max(hi for _, hi in ends) - min(lo for lo, _ in ends) if ends else 0
+
+
+def _valuations(rows: Sequence[Sequence[LaurentPoly]]) -> list[int]:
+    """The lowest exponent of each row (0 for a zero row): the shift that packing removes."""
+    return [min((p._val for p in row if p._coeffs), default=0) for row in rows]
+
+
+def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int]:
     """
-    Solve rows @ x == b in place, bottom up, for echelon rows with pivots in
-    pivot_cols. On entry x holds b at the pivot columns and the chosen
-    values elsewhere; each pivot coordinate is divided out exactly.
+    The fast and proven precisions for eliminating rows at q = 2^bits.
+
+    The proven precision is the least multiple of 8 with every minor's
+    coefficients below 2^(bits - 1) in absolute value. A coefficient of a
+    polynomial is at most its largest absolute value on |q| = 1, so by
+    Hadamard's inequality a minor's coefficients are at most
+    H = prod_i (sum_j |B_ij|_1^2)^(1/2) over its rows, and so over all rows
+    (a zero row counts 1); the same holds over the columns, and the lesser
+    bound is taken. The fast precision is _FAST_BITS, or None when it is not
+    below the proven one or does not hold every input coefficient.
     """
-    n, minus_one = len(x), -LaurentPoly.one()
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        p = pivot_cols[r]
-        row = rows[r]
-        # (x[p] - sum of row[l] x[l]) / row[p], as one kernel call on the
-        # negated sum over the negated pivot.
-        pairs = list(zip(row[p + 1 : n], x[p + 1 :]))
-        pairs.append((x[p], minus_one))
-        x[p] = _cross_div(pairs, -row[p])
+    norms = [[sum(map(abs, p._coeffs)) for p in row] for row in rows]
+    squares = [
+        math.prod(max(1, sum(n * n for n in line)) for line in lines)
+        for lines in (norms, list(zip(*norms)))
+    ]
+    proven = -(-((min(squares).bit_length() + 1) // 2 + 1) // 8) * 8
+    half = 1 << (_FAST_BITS - 1)
+    fits = all(-half <= c < half for row in rows for p in row for c in p._coeffs)
+    return (_FAST_BITS if fits and _FAST_BITS < proven else None), proven
 
 
-def _bareiss(
-    work: list[list[LaurentPoly]],
-) -> tuple[list[list[LaurentPoly]], list[int], int]:
+def _pack(coeffs: tuple[int, ...], bits: int) -> int:
     """
-    Fraction-free row echelon form, in place. Returns the reduced rows, the
-    pivot columns in order, and the sign accumulated by row swaps. Every
-    entry of a pivot row is the Bareiss minor; rows below the last pivot
-    are zero.
+    The value at q = 2^bits of sum c_k q^k, in linear time: each c_k + 2^(bits - 1)
+    as bits/8 bytes, read as one integer, less the same bias in every digit.
+    Every |c_k| must be below 2^(bits - 1).
+    """
+    if len(coeffs) == 1:
+        return coeffs[0]
+    size, half = bits >> 3, 1 << (bits - 1)
+    data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(len(coeffs), bits)
 
-    Each update is one _cross_div, (x * pivot - head * b) / den[i], done
-    only where it can change a value: a row whose head is zero is skipped
-    whole, and an entry is skipped when it and the pivot-row entry b are
-    both zero. den[i] is the pivot row i was last updated with (1 before
-    any update); a row skipped since then stands for its entries times
-    prev / den[i], prev being the latest pivot, and that factor cancels in
-    its next update, which divides by den[i] (Lee and Saunders 1995). A
-    stale row chosen as pivot row is brought up to date once, as
-    x * prev / den[r] entry by entry.
 
-    Pivots are the candidates of smallest span, ties by row order, to keep
-    the minors short; a stale candidate's span is counted as if up to date.
-    The choice changes no result, since the matrix fixes the pivot columns,
-    the determinant and the kernel vector of each free column.
+def _unpack(x: int, bits: int, val: int) -> LaurentPoly:
+    """
+    The polynomial q^val sum e_k q^k whose balanced digits e_k, in
+    [-2^(bits - 1), 2^(bits - 1)), write x in base 2^bits: the inverse of
+    _pack, in linear time, read off the bytes of x plus the bias.
+    """
+    if not x:
+        return LaurentPoly.zero()
+    size, half = bits >> 3, 1 << (bits - 1)
+    n = x.bit_length() // bits + 2  # digits enough for x, and a zero digit above
+    data = (x + _bias(n, bits)).to_bytes(n * size, "little")
+    chunks = range(0, len(data), size)
+    return _poly(val, [int.from_bytes(data[i : i + size], "little") - half for i in chunks])
 
-    Zero tests read the coefficient tuple rather than make a Python-level
-    call of LaurentPoly.__bool__, and the pivot row's nonzero flags are
-    built once per step.
+
+def _bias(n: int, bits: int) -> int:
+    """sum of 2^(bits - 1) 2^(bits k) over k < n."""
+    return int.from_bytes((1 << (bits - 1)).to_bytes(bits >> 3, "little") * n, "little")
+
+
+def _packed(rows: Sequence[Sequence[LaurentPoly]], bits: int) -> list[list[int]]:
+    """The rows at q = 2^bits, each shifted to valuation 0 first (see _valuations)."""
+    return [
+        [_pack(p._coeffs, bits) << (bits * (p._val - v)) if p._coeffs else 0 for p in row]
+        for row, v in zip(rows, _valuations(rows))
+    ]
+
+
+def _kernel(
+    rows: Sequence[Sequence[LaurentPoly]], ncols: int
+) -> tuple[list[int], list[list[LaurentPoly]]]:
+    """
+    The pivot columns of rows and the Cramer kernel vector of each free
+    column, over Z[q, q^-1]. A result at the fast precision stands when
+    every vector vanishes under every row exactly: evaluating q can only
+    lower the rank, so that proves the rank and the pivot columns too.
+    Otherwise the rows are eliminated again at the proven precision.
+    """
+    fast, proven = _precisions(rows)
+    if fast is not None:
+        pivot_cols, kernel = _cramer_vectors(rows, ncols, fast)
+        if _annihilates(rows, kernel):
+            return pivot_cols, kernel
+    return _cramer_vectors(rows, ncols, proven)
+
+
+def _annihilates(rows: Sequence[Sequence[LaurentPoly]], kernel: list[list[LaurentPoly]]) -> bool:
+    """Whether row @ v == 0 exactly for every row and every vector v of kernel."""
+    return all(not _dot(row, v)._coeffs for v in kernel for row in rows)
+
+
+def _cramer_vectors(
+    rows: Sequence[Sequence[LaurentPoly]], ncols: int, bits: int
+) -> tuple[list[int], list[list[LaurentPoly]]]:
+    """
+    The pivot columns of rows at q = 2^bits, and the kernel vector of each
+    free column, unpacked. The vector of free column f is zero at the other
+    free columns; it is seeded with the last pivot left of f, so by
+    Cramer's rule each of its entries is a minor and each back-substitution
+    step divides exactly.
+    """
+    work, pivot_cols, _ = _bareiss(_packed(rows, bits))
+    pivots = set(pivot_cols)
+    kernel: list[list[LaurentPoly]] = []
+    k = 0  # pivots left of the current column
+    for free in range(ncols):
+        if free in pivots:
+            k += 1
+            continue
+        x = [0] * ncols
+        x[free] = work[k - 1][pivot_cols[k - 1]] if k else 1
+        for r in range(k - 1, -1, -1):
+            p, row = pivot_cols[r], work[r]
+            total = row[free] * x[free]
+            for l in pivot_cols[r + 1 : k]:
+                total += row[l] * x[l]
+            x[p] = -(total // row[p])
+        kernel.append([_unpack(c, bits, 0) for c in x])
+    return pivot_cols, kernel
+
+
+def _bareiss(work: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """
+    Fraction-free row echelon form of an integer matrix, in place. Returns
+    the reduced rows, the pivot columns in order, and the sign accumulated
+    by row swaps. Every entry of a pivot row is a minor of the input, and
+    rows below the last pivot are zero.
+
+    Each update is (x * pivot - head * b) // den[i], done only where it can
+    change a value: a row whose head is zero is skipped whole, and an entry
+    is skipped when it and the pivot-row entry b are both zero. den[i] is
+    the pivot row i was last updated with (1 before any update); a row
+    skipped since then stands for its entries times prev / den[i], prev
+    being the latest pivot, and that factor cancels in its next update,
+    which divides by den[i] (Lee and Saunders 1995). A stale row chosen as
+    pivot row is brought up to date once, as x * prev // den[r].
+
+    Pivots are the candidates of fewest bits, ties by row order, to keep
+    the minors short; a stale candidate is counted up to date. The
+    choice changes no result over Z[q, q^-1], since the matrix fixes the
+    pivot columns, the determinant and the kernel vector of each free
+    column.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivot_cols: list[int] = []
     sign = 1
-    zero = LaurentPoly.zero()
-    prev = LaurentPoly.one()
+    prev = 1
     den = [prev] * nrows
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        candidates = [i for i in range(r, nrows) if work[i][c]._coeffs]
+        candidates = [i for i in range(r, nrows) if work[i][c]]
         if not candidates:
             continue
-        i = min(candidates, key=lambda i: (work[i][c].span() - den[i].span(), i))
+        i = min(candidates, key=lambda i: (_current(work[i][c], prev, den[i]).bit_length(), i))
         if i != r:
             work[r], work[i] = work[i], work[r]
             den[r], den[i] = den[i], den[r]
             sign = -sign
         prow = work[r]
         if den[r] != prev:
-            prow[c:] = [_cross_div(((x, prev),), den[r]) if x._coeffs else x for x in prow[c:]]
+            d = den[r]
+            prow[c:] = [_current(x, prev, d) for x in prow[c:]]
         pivot = prow[c]
-        nonzero = [bool(x._coeffs) for x in prow]
+        nonzero = [bool(x) for x in prow]
         for i in range(r + 1, nrows):
             row = work[i]
             head = row[c]
-            if not head._coeffs:
+            if not head:
                 continue
-            d, minus_head = den[i], -head
+            d = den[i]
             for j in range(c + 1, ncols):
                 x = row[j]
-                if x._coeffs or nonzero[j]:
-                    row[j] = _cross_div(((x, pivot), (minus_head, prow[j])), d)
-            row[c] = zero
+                if x or nonzero[j]:
+                    row[j] = (x * pivot - head * prow[j]) // d
+            row[c] = 0
             den[i] = pivot
         prev = pivot
         pivot_cols.append(c)
         r += 1
     return work, pivot_cols, sign
+
+
+def _current(x: int, prev: int, den: int) -> int:
+    """An entry x of a row last updated with pivot den, brought up to the latest pivot prev."""
+    return x if den == prev else x * prev // den

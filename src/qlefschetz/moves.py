@@ -32,18 +32,17 @@ class TwistWord(FrozenRecord):
     """
     A word in signed twist generators, e.g. ((1, +1), (0, -1)) for
     "t2 t1^-1". Letters are stored in written order, 0-based, and applied
-    right to left, so the last letter acts first.
+    right to left, so the last letter acts first. A letter's index is
+    checked where the generators are known (_checked), t0 included.
     """
 
     __slots__ = ("letters",)
     letters: tuple[tuple[int, int], ...]
 
     def __init__(self, letters: tuple[tuple[int, int], ...]):
-        for gen, sign in letters:
+        for _, sign in letters:
             if sign not in (1, -1):
                 raise ValueError(f"twist sign must be +-1, got {sign}")
-            if gen < 0:
-                raise ValueError(f"generator index {gen} is negative")
         super().__init__(letters)
 
     @classmethod
@@ -68,10 +67,7 @@ class TwistWord(FrozenRecord):
             # isascii: isdigit alone accepts "²" and, like int(), "١".
             if not body.startswith("t") or not (body[1:].isascii() and body[1:].isdigit()):
                 raise ValueError(f"bad twist letter {token!r}")
-            index = int(body[1:])
-            if index < 1:
-                raise ValueError(f"twist letters are numbered from 1, got {token!r}")
-            letters.append((index - 1, sign))
+            letters.append((int(body[1:]) - 1, sign))
         return cls(tuple(letters))
 
     def __str__(self) -> str:

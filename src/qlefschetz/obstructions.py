@@ -5,7 +5,7 @@ A closed Lagrangian brane in the total space determines a class l in the
 coordinate module with intersection @ l = 0, and its self-pairing equals
 its q-self-intersection number. A rational homology sphere would have to
 have self-pairing exactly 1 + (-1)^n q, so the kernel of the intersection
-matrix carries obstructions: this module extracts kernel generators,
+matrix carries obstructions: this module extracts a kernel basis,
 decides the sphere equation in the rank <= 1 cases, and produces the
 nonzero/primitive and linear-independence certificates that follow from
 derivative-at-one arguments.
@@ -40,7 +40,7 @@ class SphereTestResult(FrozenRecord):
     Outcome of the sphere-class equation. `branch` names the decision step
     that fired; NotObstructed carries a witness f, verified exactly to give
     star(f) f <h, h> equal to the spherical value; Inconclusive carries the
-    reason the procedure cannot decide. `kernel` holds the kernel generators
+    reason the procedure cannot decide. `kernel` holds the kernel basis vectors
     the test ran on, `self_pairings` their self-pairings in the same order.
     """
 
@@ -55,7 +55,11 @@ class SphereTestResult(FrozenRecord):
 
 
 def kernel_classes(alg: LefschetzAlgebra) -> list[KClass]:
-    """Canonical primitive generators of the intersection-matrix kernel."""
+    """
+    Canonical primitive vectors of the intersection-matrix kernel: a basis
+    over Q(q), which generates the integral kernel when every free entry
+    is a unit (always for rank 1, by the content argument of sphere_test).
+    """
     return alg.intersection.nullspace()
 
 

@@ -6,7 +6,8 @@ library: products and quotients by schoolbook convolution and long
 division, matrix products column by column, pairing matrices and the
 independence certificate one pair of classes at a time, determinants by
 cofactor expansion, ranks by rational Gaussian elimination after
-evaluating q, monodromy pairings by their closed formula, whole-matrix
+evaluating q, integer elimination by textbook Bareiss on rows evaluated
+at q = 2^bits through fractions, monodromy pairings by their closed formula, whole-matrix
 formulas for the intersection matrix and the classical shadow, and the
 published band-matrix formulas entered directly rather than built through
 the induction pipeline.
@@ -240,6 +241,53 @@ def fraction_det(rows: list[list[Fraction]]) -> Fraction:
             for j in range(c, n):
                 work[i][j] -= f * work[c][j]
     return det
+
+
+def packed_at(rows: list[list[LaurentPoly]], bits: int) -> list[list[int]]:
+    """
+    The rows evaluated at q = 2^bits, exactly, after shifting each row by the
+    lowest exponent among its nonzero entries (0 for a zero row).
+    """
+    x = Fraction(2**bits)
+    packed = []
+    for row in rows:
+        shift = min((p.valuation() for p in row if not p.is_zero()), default=0)
+        values = [(p * LaurentPoly.monomial(1, -shift)).evaluate(x) for p in row]
+        assert all(v.denominator == 1 for v in values)
+        packed.append([int(v) for v in values])
+    return packed
+
+
+def plain_integer_bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """
+    Textbook Bareiss on an integer matrix: at each step every entry below the
+    pivot row is replaced by (x * pivot - head * b) / prev, exactly, with
+    the pivot of fewest bits, ties by row order. Returns the echelon rows,
+    the pivot columns and the sign of the row swaps.
+    """
+    work = [list(r) for r in rows]
+    nrows, ncols = len(work), len(work[0]) if rows else 0
+    pivot_cols, sign, prev, r = [], 1, 1, 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        candidates = [i for i in range(r, nrows) if work[i][c] != 0]
+        if not candidates:
+            continue
+        i = min(candidates, key=lambda i: (abs(work[i][c]).bit_length(), i))
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            head = work[i][c]
+            for j in range(c, ncols):
+                quotient, remainder = divmod(work[i][j] * work[r][c] - head * work[r][j], prev)
+                assert remainder == 0
+                work[i][j] = quotient
+        prev = work[r][c]
+        pivot_cols.append(c)
+        r += 1
+    return work, pivot_cols, sign
 
 
 def monodromy_pairing_matrix(alg: LefschetzAlgebra) -> LaurentMatrix:

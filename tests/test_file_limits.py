@@ -4,7 +4,8 @@ digits per coefficient, are stated once, in LaurentPoly.from_pairs: the
 writer refuses exactly the entries the loader would refuse, with the
 loader's message for the loader's cell, and coefficients given as JSON
 integers are capped like numeral strings. A Seifert file that is not
-unitriangular names its first bad entry.
+unitriangular names its first bad entry. Elimination holds its matrix to
+the window budget MAX_WINDOW, naming the widest row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
 from qlefschetz.laurent import MAX_DIGITS, MAX_SPAN, LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
-from qlefschetz.matrix import LaurentMatrix
+from qlefschetz.matrix import MAX_WINDOW, LaurentMatrix
 from qlefschetz.moves import shift_object
 from qlefschetz.serialize import (
     FileFormatError,
@@ -31,7 +32,7 @@ from qlefschetz.serialize import (
     matrix_to_obj,
 )
 
-from oracles import moved_xab
+from oracles import evaluate_matrix, fraction_det, moved_xab
 
 BOUND = MAX_SPAN // 2
 DIGITS_BOUND = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
@@ -211,3 +212,64 @@ def test_the_writer_refuses_before_it_renders(monkeypatch):
     message = f"coefficient at exponent 0 has more than {MAX_DIGITS} digits"
     assert str(info.value) == f"fibration.B.entries[0][1]: {message}"
     assert rendered == []
+
+
+def hostile(m: int, k: int) -> LefschetzAlgebra:
+    """Unitriangular Seifert data whose upper entries alternate q^k and q^-k + q^k."""
+    a, b = LaurentPoly({k: 1}), LaurentPoly({-k: 1, k: 1})
+    rows = [
+        [1 if i == j else (a if (i + j) % 2 else b) if j > i else 0 for j in range(m)]
+        for i in range(m)
+    ]
+    return LefschetzAlgebra.from_seifert(3, LaurentMatrix.from_rows(rows))
+
+
+def widths(lines) -> list[int]:
+    """Highest exponent minus lowest over each line's nonzero entries."""
+    out = []
+    for line in lines:
+        exps = [e for p in line for e, _ in p.items()]
+        out.append(max(exps) - min(exps) if exps else 0)
+    return out
+
+
+def run(argv: list[str], capsys) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, window", [(511, 8180), (512, 8196)])
+def test_the_window_budget_holds_for_hostile_files(tmp_path, capsys, k, window):
+    """
+    At m = 8, q^511 entries give W = 8180, under MAX_WINDOW = 8192, and
+    eliminate in under a second; q^512 entries give W = 8196, which det,
+    nullspace and obstruct refuse with exit 2, naming the widest row, while
+    verify and the moves, which do not eliminate, still run.
+    """
+    alg = hostile(8, k)
+    rows = alg.intersection.to_rows()
+    assert min(sum(widths(rows)), sum(widths(zip(*rows)))) == window
+    path = tmp_path / "hostile.json"
+    path.write_text(dumps_canonical(fibration_to_obj(alg)), encoding="utf-8")
+    if window <= MAX_WINDOW:
+        start = time.perf_counter()
+        assert run(["compute", "det", str(path)], capsys) == (0, "")
+        assert time.perf_counter() - start < 10
+        det = alg.intersection.det()
+        for x in (2, -3):
+            assert det.evaluate(x) == fraction_det(evaluate_matrix(alg.intersection, x))
+        return
+    row_widths = widths(rows)
+    widest = row_widths.index(max(row_widths))
+    message = (
+        f"error: exponent window {window} exceeds the elimination budget {MAX_WINDOW}: "
+        f"row {widest + 1} alone spans {row_widths[widest]}\n"
+    )
+    for argv in (["compute", "det"], ["compute", "nullspace"], ["obstruct"]):
+        assert run(argv + [str(path)], capsys) == (2, message)
+    for call in (alg.intersection.det, alg.intersection.rank, alg.intersection.nullspace):
+        with pytest.raises(ValueError, match="exceeds the elimination budget"):
+            call()
+    assert run(["verify", str(path)], capsys)[0] == 0
+    assert run(["move", str(path), "hurwitz", "--k", "2"], capsys)[0] == 0
+

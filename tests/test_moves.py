@@ -380,8 +380,12 @@ def test_twist_word_parsing():
     assert str(word) == "t2 t1^-1 t4"
     with pytest.raises(ValueError):
         TwistWord.parse("s1")
-    with pytest.raises(ValueError):
-        TwistWord.parse("t0")
+    # t0 parses; the one index rule refuses it where the generators are known.
+    assert TwistWord.parse("t0").letters == ((-1, 1),)
+    gens = [KClass.basis_vector(3, i) for i in range(3)]
+    message = r"^twist generator 0 is not among 1\.\.3 \(numbered from 1\)$"
+    with pytest.raises(IndexError, match=message):
+        apply_twist_word(rand_algebra(random.Random(3), 3, 4), gens, TwistWord.parse("t0"), gens[0])
     with pytest.raises(ValueError):
         TwistWord.parse("t1^2")
 

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from qlefschetz.laurent import LaurentPoly, q
+from qlefschetz.catalog import induced_total_space, milnor_ar
+from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
 from qlefschetz.matrix import KClass, LaurentMatrix
+from qlefschetz.moves import TwistWord
 from qlefschetz.obstructions import (
     HypothesisError,
     Verdict,
@@ -278,3 +280,31 @@ def test_certificate_gcd_uses_both_derivative_and_value():
     assert p.derivative_at_one() == 2
     assert nonzero_primitive_certificate(p) == (True, 2)
     assert math.gcd(4, 2) == 2
+
+
+def test_a_rank_3_basis_need_not_generate_the_integral_kernel():
+    """
+    kernel_classes returns a basis over Q(q). Over the Milnor fibre of
+    milnor_ar(2, 3), this 5x5 total space has a kernel of rank 3 whose
+    second and third vectors have the non-unit free entries
+    +-(q - 1)(1 + q^2). u = (q^-2 v2 + v3) / (1 + q^2) is integral and in
+    the kernel, but its free entry q^-1 - q^-2 at v2's free column is no
+    multiple of v2's, so u is outside the span over Z[q, q^-1].
+    """
+    fibre, spheres = milnor_ar(2, 3)
+    words = ["t3 t1 t2", "t2 t3^-1 t2^-1", "", "", "t1 t2^-1"]
+    specs = [(TwistWord.parse(w), seed) for w, seed in zip(words, [2, 2, 1, 0, 1])]
+    alg = induced_total_space(fibre, specs, spheres)
+    b = alg.intersection
+    v1, v2, v3 = kernel_classes(alg)
+    free = [2, 3, 4]
+    assert [[v[j] for j in free] for v in (v1, v2, v3)] == [
+        [q, 0, 0],
+        [0, (q - 1) * (1 + q**2), 0],
+        [0, 0, -(q - 1) * (1 + q**2)],
+    ]
+    u = KClass(c.exact_div(1 + q**2) for c in (v2.scale(q**-2) + v3).coords)
+    assert (b @ u).is_zero()
+    assert [u[j] for j in free] == [0, q**-1 - q**-2, 1 - q]
+    with pytest.raises(ExactDivisionError):
+        u[3].exact_div(v2[3])

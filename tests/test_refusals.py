@@ -80,9 +80,9 @@ REFUSALS = {
         "twist sign must be +-1, got 2",
     ),
     "twist-index": (
-        lambda: TwistWord(((-1, 1),)),
-        ValueError,
-        "generator index -1 is negative",
+        lambda: apply_twist_word(FIBRE, SPHERES, TwistWord(((-1, 1),)), SPHERES[0]),
+        IndexError,
+        "twist generator 0 is not among 1..5 (numbered from 1)",
     ),
     "twist-letter-range": (
         lambda: apply_twist_word(FIBRE, SPHERES, TwistWord.parse("t9"), SPHERES[0]),
