@@ -27,6 +27,7 @@ import stat
 import sys
 from typing import Any, Callable, Sequence
 
+from .laurent import MAX_SPAN
 from .lefschetz import ConsistencyError, LefschetzAlgebra
 from .matrix import KClass, LaurentMatrix
 from .serialize import (
@@ -355,7 +356,15 @@ def _cmd_move(args: argparse.Namespace) -> int:
         moved = rescale_object(alg, k, args.amount)
     else:
         moved = shift_object(alg, k)
-    artifact = fibration_to_obj(moved, labels)
+    try:
+        artifact = fibration_to_obj(moved, labels)
+    except ValueError:
+        if args.kind != "rescale":
+            raise
+        # A rescale moves exponents only, and the loaded datum kept every file limit.
+        raise ValueError(
+            f"--amount {args.amount} moves an exponent past {MAX_SPAN // 2} in absolute value"
+        ) from None
     report: dict[str, Any] = {"move": args.kind, "k": args.k, "fibration": artifact}
     if args.kind == "rescale":
         report["amount"] = args.amount

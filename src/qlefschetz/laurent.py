@@ -165,11 +165,8 @@ class LaurentPoly:
         return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other: IntoPoly) -> LaurentPoly:
-        if type(other) is not LaurentPoly:  # the common case skips _element
-            other = _element(other)
-            if other is None:
-                return NotImplemented
-        return _cross_div(((self, other),), _ONE)
+        other = _element(other)
+        return NotImplemented if other is None else _cross_div(((self, other),), _ONE)
 
     __rmul__ = __mul__
 
@@ -196,10 +193,10 @@ class LaurentPoly:
     def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
         """
         Exact division in Z[q, q^-1]; raises ExactDivisionError when the
-        divisor does not divide self. This is the only public division,
-        because it is only ever needed where exactness is guaranteed:
-        back-substitution, gcd normalization and the order of vanishing at
-        q = 1. It is the kernel _cross_div on the one pair (self, 1).
+        divisor does not divide self. This is the only public division, also
+        spelled `/`, and vanishing_order_at_one uses it; the package's own
+        quotients call the kernel directly. It is the kernel _cross_div on
+        the one pair (self, 1).
 
         >>> p = LaurentPoly({0: -1, 1: 2, 2: -1})   # -(1 - q)^2
         >>> p.exact_div(LaurentPoly({0: 1, 1: -1}))
@@ -389,13 +386,6 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
     return p
 
 
-def _canonical(val: int, coeffs: tuple[int, ...]) -> LaurentPoly:
-    """The kernel's constructor: sum of coeffs[i] q^(val + i), coeffs already trimmed."""
-    p = LaurentPoly.__new__(LaurentPoly)
-    p._val, p._coeffs = val, coeffs
-    return p
-
-
 _ZERO, _ONE = _poly(0, ()), _poly(0, (1,))
 
 
@@ -404,19 +394,20 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
     (x1 * y1 + x2 * y2 + ...) / d over the factor pairs (x, y) in one pass:
     every product is convolved into one integer buffer, which is divided by
     d in place, and one polynomial is built. Pairs with a zero factor are
-    skipped. This is the ring's one kernel: each entry of a matrix product
-    and each dot product (d = 1), the product x * y (one pair, d = 1), the
-    exact quotient x / d (one pair x * 1) and the update step of
-    fraction-free elimination (two pairs). Raises ExactDivisionError when d
-    does not divide the sum.
+    skipped, and so are the zero coefficients of each pair's shorter factor.
+    This is the ring's one kernel: each entry of a matrix product and each
+    dot product (d = 1), the product x * y (one pair, d = 1), the exact
+    quotient x / d (one pair x * 1), each back-substitution step of the
+    unitriangular inverse (d = -1) and each entry of canonical_primitive (d
+    the gcd). Raises ExactDivisionError when d does not divide the sum.
 
     A single product x * y / q^j with a monomial factor c q^k is the other
     factor, scaled by c unless c = 1 and shifted by k - j; it needs no
-    buffer and no trimming, since a product of canonical factors is
-    canonical. Otherwise the buffer is trimmed once. A monomial divisor
-    c q^k divides it coefficient by coefficient, any other divisor by long
-    division; either way an exact quotient of the trimmed buffer is already
-    trimmed, so the result is built without a second scan.
+    buffer. Otherwise the buffer is trimmed once. A unit divisor +-q^k
+    divides it by a shift and a sign, any other divisor by long division.
+    A product of canonical factors, and an exact quotient of the trimmed
+    buffer, are already trimmed, so _poly's end checks stop at once and it
+    keeps the tuple it is given.
 
     >>> one = LaurentPoly.one()
     >>> _cross_div([(q, q), (-one, one)], q - 1)      # (q^2 - 1) / (q - 1)
@@ -449,7 +440,7 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
         return _ZERO
     if len(terms) == 1 and len(terms[0][1]) == 1 and den == (1,):
         _, (c,), rest = terms[0]
-        return _canonical(val - d._val, rest if c == 1 else tuple([c * y for y in rest]))
+        return _poly(val - d._val, rest if c == 1 else tuple([c * y for y in rest]))
     buf = [0] * (top - val)
     for lo, xc, yc in terms:
         k = lo - val
@@ -468,36 +459,29 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
     if lo == hi:
         return _ZERO
     n, lead = len(den), den[-1]
-    if n == 1:
-        # A monomial c q^k divides coefficient by coefficient, and c = +-1
-        # always divides; every product ends here.
-        val += lo - d._val
-        if lead == 1:
-            return _canonical(val, tuple(buf[lo:hi]))
-        if lead == -1:
-            return _canonical(val, tuple([-x for x in buf[lo:hi]]))
-        if not any(x % lead for x in buf[lo:hi]):
-            return _canonical(val, tuple([x // lead for x in buf[lo:hi]]))
+    if n == 1 and lead == 1:  # every product ends here
+        return _poly(val + lo - d._val, tuple(buf[lo:hi]))
+    if n == 1 and lead == -1:
+        return _poly(val + lo - d._val, tuple([-x for x in buf[lo:hi]]))
+    # Long division from the top. Each quotient coefficient overwrites the
+    # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
+    # buf[lo : lo + n - 1] as the remainder. An exact quotient of a trimmed
+    # sum by a trimmed divisor is trimmed: its end coefficients are the
+    # sum's divided by the divisor's.
+    low = den[:-1]
+    for i in range(hi - n, lo - 1, -1):
+        c, r = divmod(buf[i + n - 1], lead)
+        if r:
+            break
+        if c:
+            j = i
+            for v in low:
+                buf[j] -= c * v
+                j += 1
+        buf[i + n - 1] = c
     else:
-        # Long division from the top. Each quotient coefficient overwrites the
-        # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
-        # buf[lo : lo + n - 1] as the remainder. An exact quotient of a trimmed
-        # sum by a trimmed divisor is trimmed: its end coefficients are the
-        # sum's divided by the divisor's.
-        low = den[:-1]
-        for i in range(hi - n, lo - 1, -1):
-            c, r = divmod(buf[i + n - 1], lead)
-            if r:
-                break
-            if c:
-                j = i
-                for v in low:
-                    buf[j] -= c * v
-                    j += 1
-            buf[i + n - 1] = c
-        else:
-            if not any(buf[lo : lo + n - 1]):
-                return _canonical(val + lo - d._val, tuple(buf[lo + n - 1 : hi]))
+        if not any(buf[lo : lo + n - 1]):
+            return _poly(val + lo - d._val, tuple(buf[lo + n - 1 : hi]))
     raise ExactDivisionError(f"{d} does not divide {_cross_div(pairs, _ONE)}")
 
 

@@ -290,7 +290,7 @@ class LaurentMatrix(FrozenRecord):
             )
         n = other.cols
         nonzeros = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(other.rows)]
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        one = LaurentPoly.one()
         entries: list[LaurentPoly] = []
         for i in range(self.rows):
             pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in range(n)]
@@ -298,7 +298,7 @@ class LaurentMatrix(FrozenRecord):
                 if x:
                     for j, y in row:
                         pairs[j].append((x, y))
-            entries += [_cross_div(p, one) if p else zero for p in pairs]
+            entries += [_cross_div(p, one) for p in pairs]
         return LaurentMatrix(self.rows, n, tuple(entries))
 
     def star_transpose(self) -> LaurentMatrix:
@@ -483,8 +483,6 @@ def _pack(coeffs: tuple[int, ...], bits: int) -> int:
     as bits/8 bytes, read as one integer, less the same bias in every digit.
     Every |c_k| must be below 2^(bits - 1).
     """
-    if len(coeffs) == 1:
-        return coeffs[0]
     size, half = bits >> 3, 1 << (bits - 1)
     data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
     return int.from_bytes(data, "little") - _bias(len(coeffs), bits)
@@ -578,10 +576,9 @@ def _bareiss(work: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     by row swaps. Every entry of a pivot row is a minor of the input, and
     rows below the last pivot are zero.
 
-    Each update is (x * pivot - head * b) // den[i], done only where it can
-    change a value: a row whose head is zero is skipped whole, and an entry
-    is skipped when it and the pivot-row entry b are both zero. den[i] is
-    the pivot row i was last updated with (1 before any update); a row
+    Each update is (x * pivot - head * b) // den[i], b the pivot row's
+    entry, and a row whose head is zero is skipped whole. den[i] is the
+    pivot row i was last updated with (1 before any update); a row
     skipped since then stands for its entries times prev / den[i], prev
     being the latest pivot, and that factor cancels in its next update,
     which divides by den[i] (Lee and Saunders 1995). A stale row chosen as
@@ -616,7 +613,6 @@ def _bareiss(work: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
             d = den[r]
             prow[c:] = [_current(x, prev, d) for x in prow[c:]]
         pivot = prow[c]
-        nonzero = [bool(x) for x in prow]
         for i in range(r + 1, nrows):
             row = work[i]
             head = row[c]
@@ -624,9 +620,7 @@ def _bareiss(work: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
                 continue
             d = den[i]
             for j in range(c + 1, ncols):
-                x = row[j]
-                if x or nonzero[j]:
-                    row[j] = (x * pivot - head * prow[j]) // d
+                row[j] = (row[j] * pivot - head * prow[j]) // d
             row[c] = 0
             den[i] = pivot
         prev = pivot

@@ -126,15 +126,16 @@ def nonzero_primitive_certificate(p: LaurentPoly) -> tuple[bool, int]:
     First component: True when (1 - q)^2 does not divide p. A class whose
     q = 1 reduction vanishes is a multiple of (1 - q), which forces its
     self-pairing to be divisible by (1 - q^-1)(1 - q); so True certifies
-    that the reduction is nonzero.
+    that the reduction is nonzero. Since q is a unit at q = 1, (1 - q)^2
+    divides p exactly when p(1) = p'(1) = 0, that is when the second
+    component is 0.
 
     Second component: gcd(|p(1)|, |p'(1)|). A prime dividing every entry of
     the q = 1 reduction divides both numbers, so a gcd of 1 certifies that
     the reduction is primitive. gcd(0, 0) is reported as 0: no certificate.
     """
-    nonzero_at_one = p.vanishing_order_at_one() < 2
     bound = math.gcd(abs(p.eval_at_one()), abs(p.derivative_at_one()))
-    return nonzero_at_one, bound
+    return bound != 0, bound
 
 
 def betti_lower_bound(p: LaurentPoly) -> int:

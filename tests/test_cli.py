@@ -243,12 +243,17 @@ def test_move_writes_only_files_it_can_read(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", moved])
     assert code == 0 and report["consistent"] is True
     moved.unlink()
-    code = main([str(a) for a in argv + [40000]])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "fibration.B.entries[0][1]: exponent -40000 exceeds 32768" in captured.err
-    assert not moved.exists()
+    # An amount past the limit is refused as the option the user typed, not
+    # as a cell of the moved datum, and nothing is written.
+    for amount in (40000, -40000, 10**11):
+        code = main([str(a) for a in argv + [amount]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --amount {amount} moves an exponent past 32768 in absolute value\n"
+        )
+        assert not moved.exists()
 
 
 def test_move_bad_position(tmp_path, capsys):

@@ -10,13 +10,15 @@ the first factors by d so that the division is exact; the other half use
 an arbitrary d, which mostly does not divide. Operands lean toward
 monomials +-q^k and c q^k, and divisors toward q^j, the cases the kernel
 answers by shifting the other factor without a buffer; every result must
-be canonical. A monomial divisor c q^k divides coefficient by coefficient;
-the examples below pin that path for c = -1, 2 and -3.
+be canonical. A unit divisor +-q^k divides by a shift and a sign, and any
+other monomial c q^k by long division; the examples below pin both for
+c = -1, 2 and -3.
 """
 
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +134,17 @@ def test_monomial_divisor_examples(c, k):
         total = schoolbook_sum_div(inexact, LaurentPoly.one())
         with pytest.raises(ExactDivisionError, match=re.escape(f"{d} does not divide {total}")):
             _cross_div(inexact, d)
+
+
+def test_a_quotient_with_long_zero_runs_divides_fast():
+    """
+    (1 + q^6000)(1 + q^3000) / (1 + q^3000) has a quotient of 6001
+    coefficients, all zero but two. Long division subtracts the divisor's
+    3000 low coefficients only for a nonzero quotient coefficient, so this
+    takes about 2 ms; subtracting for every one takes about 0.8 s.
+    """
+    d, r = 1 + q**3000, 1 + q**6000
+    product = d * r
+    start = time.perf_counter()
+    assert _cross_div([(product, LaurentPoly.one())], d) == r
+    assert time.perf_counter() - start < 0.25

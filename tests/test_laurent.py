@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,17 @@ def test_gcd_normal_form():
     # 6(1+q) and 4(1+q)^2 share 2(1+q).
     assert laurent_gcd(6 * (1 + q), 4 * (1 + q) ** 2) == 2 * (1 + q)
     assert gcd_many([2 * q, 4 * q**2, 6]) == 2
+
+
+def test_gcd_of_sparse_wide_polynomials_stays_fast():
+    """
+    The remainders of q^6000 - 1 by q^4000 - 1 have long runs of zero top
+    coefficients, which the pseudo-remainder skips: the gcd takes about
+    2 ms, and about 0.8 s without that skip.
+    """
+    start = time.perf_counter()
+    assert laurent_gcd(q**6000 - 1, q**4000 - 1) == 1 - q**2000
+    assert time.perf_counter() - start < 0.25
 
 
 def test_gcd_divides_both_randomized():

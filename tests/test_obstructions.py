@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlefschetz.catalog import induced_total_space, milnor_ar
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
@@ -152,6 +154,28 @@ def test_nonzero_primitive_certificate_examples():
     assert nonzero_primitive_certificate(1 - q) == (True, 1)
     assert nonzero_primitive_certificate(-(q**-1) * (1 - q) ** 2) == (False, 0)
     assert nonzero_primitive_certificate(1 + q) == (True, 1)
+
+
+certificate_inputs = st.builds(
+    lambda base, k, sign, shift: base * (1 - q) ** k * LaurentPoly.monomial(sign, shift),
+    st.builds(
+        lambda val, coeffs: LaurentPoly((val + i, c) for i, c in enumerate(coeffs)),
+        st.integers(-4, 4),
+        st.lists(st.integers(-5, 5), max_size=6),
+    ),
+    st.integers(0, 3),
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(certificate_inputs | st.just(LaurentPoly.zero()))
+def test_the_first_certificate_is_the_order_of_vanishing_at_one(p):
+    """(1 - q)^2 divides p exactly when p(1) = p'(1) = 0, zero included."""
+    nonzero, bound = nonzero_primitive_certificate(p)
+    assert nonzero == (p.vanishing_order_at_one() < 2)
+    assert nonzero == (bound != 0)
 
 
 def test_nonzero_primitive_certificate_unit_invariance():
