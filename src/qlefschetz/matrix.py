@@ -19,7 +19,11 @@ balanced base-2^bits digits. There are two precisions (see _precisions):
 - the fast one, 32 bits, tried first when it is smaller and holds every
   input coefficient. Its result stands only when every kernel vector
   satisfies B @ v == 0 exactly; since evaluating q can only lower the rank,
-  that also proves the rank and the pivot columns. A nonsingular
+  that also proves the rank and the pivot columns. The check runs on
+  integers too (see _annihilates): with C a bound on every coefficient of
+  B @ v, the rows and vectors are packed at q = 2^b, b the least multiple
+  of 8 with C below 2^(b - 1), and each dot product is tested for zero,
+  which at that precision only the zero polynomial passes. A nonsingular
   determinant cannot be checked that way, so it, and any failed check, is
   computed again at the proven precision.
 
@@ -34,6 +38,7 @@ canonically.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .laurent import IntoPoly, LaurentPoly, _cross_div, _poly, gcd_many
@@ -509,9 +514,21 @@ def _bias(n: int, bits: int) -> int:
 
 
 def _packed(rows: Sequence[Sequence[LaurentPoly]], bits: int) -> list[list[int]]:
-    """The rows at q = 2^bits, each shifted to valuation 0 first (see _valuations)."""
+    """
+    The rows at q = 2^bits, each shifted to valuation 0 first (see
+    _valuations). Each distinct coefficient tuple is packed once: packs maps
+    it to its value, which each entry then shifts by its own exponent.
+    """
+    packs: dict[tuple[int, ...], int] = {}
+
+    def pack(coeffs: tuple[int, ...]) -> int:
+        x = packs.get(coeffs)
+        if x is None:
+            x = packs[coeffs] = _pack(coeffs, bits)
+        return x
+
     return [
-        [_pack(p._coeffs, bits) << (bits * (p._val - v)) if p._coeffs else 0 for p in row]
+        [pack(p._coeffs) << (bits * (p._val - v)) if p._coeffs else 0 for p in row]
         for row, v in zip(rows, _valuations(rows))
     ]
 
@@ -535,8 +552,22 @@ def _kernel(
 
 
 def _annihilates(rows: Sequence[Sequence[LaurentPoly]], kernel: list[list[LaurentPoly]]) -> bool:
-    """Whether row @ v == 0 exactly for every row and every vector v of kernel."""
-    return all(not _dot(row, v)._coeffs for v in kernel for row in rows)
+    """
+    Whether row @ v == 0 exactly for every row and every vector v of kernel,
+    decided on integers. Every coefficient of row_i @ v is at most
+    C = N * V in absolute value, N the largest row norm sum_j |B_ij|_1 and V
+    the largest absolute coefficient of any vector. The rows and vectors are
+    packed at q = 2^bits, bits the least multiple of 8 that puts C, N and V
+    below 2^(bits - 1); there only the zero polynomial has value 0, so each
+    integer dot product is zero exactly when its polynomial is.
+    """
+    norm = max((sum([sum(map(abs, p._coeffs)) for p in row]) for row in rows), default=0)
+    top = max((max(map(abs, p._coeffs)) for v in kernel for p in v if p._coeffs), default=0)
+    bits = -(-(max(norm * top, norm, top).bit_length() + 1) // 8) * 8
+    packed_rows = _packed(rows, bits)
+    return all(
+        not sum(map(operator.mul, row, v)) for v in _packed(kernel, bits) for row in packed_rows
+    )
 
 
 def _cramer_vectors(

@@ -115,9 +115,19 @@ MUTANTS = (
     Mutant(
         "no-check-of-the-fast-precision",
         "matrix.py",
-        "    return all(not _dot(row, v)._coeffs for v in kernel for row in rows)\n",
+        "    return all(\n"
+        "        not sum(map(operator.mul, row, v))"
+        " for v in _packed(kernel, bits) for row in packed_rows\n"
+        "    )\n",
         "    return True\n",
         ("tests/test_banded_elimination.py::test_a_false_zero_pivot_falls_back",),
+    ),
+    Mutant(
+        "check-precision-one-byte-low",
+        "matrix.py",
+        "    bits = -(-(max(norm * top, norm, top).bit_length() + 1) // 8) * 8\n",
+        "    bits = -(-max(norm * top, norm, top).bit_length() // 8) * 8\n",
+        ("tests/test_banded_elimination.py::test_the_check_precision_holds_the_bound",),
     ),
     Mutant(
         "no-stale-pivot-refresh",

@@ -19,9 +19,12 @@ primitive and vanish at every free column but its own, which fixes it.
 
 Elimination first runs at the fast precision, 32 bits, when that is below
 the proven one and holds every input coefficient, and its result stands
-only when checked exactly. The last tests build the cases that must fall
-back to the proven precision, or never leave it, and one wide kernel that
-the fast precision must keep fast.
+only when checked exactly. The check packs the rows and vectors at a
+precision of its own, set by a bound on the product's coefficients, and
+tests each integer dot product for zero; tests below hold it to the bound
+and to the polynomial product. The last tests build the cases that must
+fall back to the proven precision, or never leave it, and one wide kernel
+that the fast precision must keep fast.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from qlefschetz.matrix import (
     _FAST_BITS,
     KClass,
     LaurentMatrix,
+    _annihilates,
     _bareiss,
     _pack,
     _packed,
@@ -257,6 +261,98 @@ def test_a_false_zero_pivot_falls_back(monkeypatch):
     assert calls == [2, 2] * 5
     assert_matches_oracles(square)
     assert_matches_oracles(b)
+
+
+def check_bits(monkeypatch, rows, kernel) -> tuple[bool, set[int]]:
+    """The check's verdict on rows and kernel, and the precisions it packed them at."""
+    bits: set[int] = set()
+    packed = matrix_module._packed
+
+    def recording(lines, b):
+        bits.add(b)
+        return packed(lines, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrix_module, "_packed", recording)
+        return _annihilates(rows, kernel), bits
+
+
+def polys(lines) -> list[list[LaurentPoly]]:
+    return [[LaurentPoly.coerce(x) for x in line] for line in lines]
+
+
+@pytest.mark.parametrize(
+    "row, vector",
+    [
+        ([q, -256], [1, 1]),  # q - 2^8
+        ([q, 1], [1, -(2**16)]),  # q - 2^16
+        ([q**2, -(2**16) * q, 1], [1, 1, 0]),  # q^2 - 2^16 q
+    ],
+)
+def test_the_check_refuses_a_product_that_vanishes_at_a_small_power(row, vector):
+    """Each product is nonzero, but vanishes at q = 2^8 or at q = 2^16."""
+    b, v = LaurentMatrix.from_rows([row]), KClass(vector)
+    assert not (b @ v).is_zero()
+    assert not _annihilates(b.to_rows(), [list(v.coords)])
+
+
+@pytest.mark.parametrize("b", [8, 16, 40])
+@pytest.mark.parametrize("below", [True, False])
+def test_the_check_precision_holds_the_bound(monkeypatch, b, below):
+    """
+    The bound C = N V is the row norm N times the largest vector coefficient
+    V. With C = 2^(b - 1) - 1 the check packs at b bits, with C = 2^(b - 1)
+    at b + 8; at b bits the row (C) or the vector (C, 0) would not even
+    pack. Rows (p, p, r), p = C // 2 and r = C % 2, have norm C: the vector
+    (1, -1, 0) lies in their kernel and (1, 1, 0) does not.
+    """
+    c = 2 ** (b - 1) - (1 if below else 0)
+    expected = {b if below else b + 8}
+    p, r = c // 2, c % 2
+    cases = [
+        ([[p, p, r]], [[1, -1, 0]], True),
+        ([[p, p, r]], [[1, 1, 0]], False),
+        ([[c]], [[1]], False),
+        ([[1, 0]], [[0, c]], True),
+        ([[1, 0]], [[c, 0]], False),
+    ]
+    for rows, kernel, verdict in cases:
+        assert check_bits(monkeypatch, polys(rows), polys(kernel)) == (verdict, expected)
+
+
+small_coefficients = st.one_of(
+    st.integers(-3, 3), st.sampled_from([-(2**16), -256, -128, 127, 128, 255, 256, 2**16 - 1])
+)
+small_entries = st.builds(
+    lambda val, coeffs: LaurentPoly((val + i, c) for i, c in enumerate(coeffs)),
+    st.integers(-2, 2),
+    st.lists(small_coefficients, max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_the_check_agrees_with_the_polynomial_product(data):
+    """
+    Random rows and vectors of a few short entries, some coefficients near
+    a power of 2^8; a row is often built to annihilate the first vector:
+    s * v_j at column i and -s * v_i at column j.
+    """
+    ncols = data.draw(st.integers(1, 4))
+    vectors = data.draw(
+        st.lists(st.lists(small_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=2)
+    )
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.lists(small_entries, min_size=ncols, max_size=ncols))
+        if ncols > 1 and data.draw(st.booleans()):
+            i, j = data.draw(st.permutations(range(ncols)))[:2]
+            s, v = data.draw(small_entries), vectors[0]
+            row = [LaurentPoly.zero()] * ncols
+            row[i], row[j] = s * v[j], -(s * v[i])
+        rows.append(row)
+    b = LaurentMatrix.from_rows(rows)
+    assert _annihilates(rows, vectors) == all((b @ KClass(v)).is_zero() for v in vectors)
 
 
 def test_an_entry_q_minus_2_to_the_32(monkeypatch):

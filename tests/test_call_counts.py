@@ -14,6 +14,10 @@ command writes its --output once, and `catalog milnor` with --classes-output
 writes twice. On the double cover of xab(3, 5, 3), whose intersection
 matrix [[B, B], [B, B]] repeats each row, `compute det` eliminates nothing
 and `compute nullspace` eliminates the 8 distinct rows of 16.
+
+Elimination, and the check of a result found at the fast precision, run on
+integers: inside `det` and `nullspace` the ring kernel `_cross_div` is
+called only by `canonical_primitive`, once per entry of each kernel vector.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ import pytest
 
 # The command modules are imported first, so that every name they bind is patched.
 from qlefschetz import catalog, matrix, moves, obstructions  # noqa: F401
+from qlefschetz.catalog import xab
 from qlefschetz.cli import main
-from qlefschetz.matrix import LaurentMatrix
+from qlefschetz.matrix import KClass, LaurentMatrix, _precisions
+from qlefschetz.serialize import dumps_canonical, fibration_to_obj
 
 from test_cli_outputs import CASES, write_inputs
 
@@ -138,3 +144,46 @@ def test_cover_eliminates_its_distinct_rows_only(paths, monkeypatch):
         for what in ("det", "nullspace"):
             assert main(["compute", what, paths["xab-3-5-3-cover"]]) == 0
     assert rows == [8]
+
+
+@pytest.mark.parametrize("params, fast", [((3, 5, 3), None), ((5, 9, 3), 32)])
+def test_elimination_calls_the_ring_kernel_only_to_normalize(params, fast, monkeypatch, tmp_path):
+    """
+    xab(3, 5, 3), m = 8, is eliminated at its proven precision at once;
+    xab(5, 9, 3), m = 14, at the fast 32 bits, whose result the check then
+    proves. Each has the one kernel vector (1, ..., 1).
+    """
+    alg = xab(*params)
+    m = alg.intersection.rows
+    assert _precisions(alg.intersection.to_rows())[0] == fast
+    path = tmp_path / "datum.json"
+    path.write_text(dumps_canonical(fibration_to_obj(alg)), encoding="utf-8")
+    calls: Counter = Counter()
+    inside: list[str] = []
+    kernel = matrix._cross_div
+
+    def counting(*args):
+        if inside:
+            calls[inside[-1]] += 1
+        return kernel(*args)
+
+    def scoped(name, method):
+        def wrapper(*args):
+            inside.append(name)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(matrix, "_cross_div", counting)
+    for home, name in ((LaurentMatrix, "det"), (LaurentMatrix, "nullspace"),
+                       (KClass, "canonical_primitive")):
+        monkeypatch.setattr(home, name, scoped(name, getattr(home, name)))
+    for argv in (["compute", "det"], ["compute", "nullspace"], ["obstruct"]):
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + [str(path)]) == 0
+        expected = {} if argv[-1] == "det" else {"canonical_primitive": m}
+        assert dict(calls) == expected, argv
