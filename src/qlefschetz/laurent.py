@@ -8,9 +8,13 @@ of coefficients up to the degree, with no zero at either end (zero is
 valuation 0 and the empty tuple). Coefficients are Python ints and never
 overflow.
 
-Every product, sum of products and exact quotient runs one kernel,
-_cross_div, which computes (x1 * y1 + x2 * y2 + ...) / d; plain sums and
-gcds keep their own loops.
+Every product and sum of products runs one routine, _products, which
+computes x1 * y1 + x2 * y2 + ... in one buffer, and every exact quotient
+runs one long division, LaurentPoly.exact_div; plain sums and gcds keep
+their own loops.
+
+>>> _products([(1 + q, 1 + q), (q, -q)]).exact_div(1 + 2 * q)   # (1 + 2q) / (1 + 2q)
+LaurentPoly('1')
 
 The units of Z[q, q^-1] are +-q^k; "content" of a polynomial means the gcd
 of its integer coefficients, and "primitive" means content 1. Gcds are
@@ -166,7 +170,7 @@ class LaurentPoly:
 
     def __mul__(self, other: IntoPoly) -> LaurentPoly:
         other = _element(other)
-        return NotImplemented if other is None else _cross_div(((self, other),), _ONE)
+        return NotImplemented if other is None else _products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -192,17 +196,39 @@ class LaurentPoly:
 
     def exact_div(self, divisor: LaurentPoly) -> LaurentPoly:
         """
-        Exact division in Z[q, q^-1]; raises ExactDivisionError when the
-        divisor does not divide self. This is the only public division, also
-        spelled `/`, and vanishing_order_at_one uses it; the package's own
-        quotients call the kernel directly. It is the kernel _cross_div on
-        the one pair (self, 1).
+        The quotient self / divisor in Z[q, q^-1], also spelled `/`; raises
+        ExactDivisionError when divisor does not divide self. Long division
+        from the top: each quotient coefficient overwrites the slot it
+        cleared, and a zero one subtracts nothing, so buf[n - 1:] ends as the
+        quotient and buf[:n - 1] as the remainder, n the divisor's length.
+        An exact quotient of canonical polynomials is trimmed, and zero is
+        returned at once (most entries of a kernel vector are zero).
 
         >>> p = LaurentPoly({0: -1, 1: 2, 2: -1})   # -(1 - q)^2
         >>> p.exact_div(LaurentPoly({0: 1, 1: -1}))
         LaurentPoly('-1 + q')
         """
-        return _cross_div(((self, _ONE),), divisor)
+        den = divisor._coeffs
+        if not den:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self._coeffs:
+            return self
+        buf, n, lead = list(self._coeffs), len(den), den[-1]
+        low = den[:-1]
+        for i in range(len(buf) - n, -1, -1):
+            c, r = divmod(buf[i + n - 1], lead)
+            if r:
+                break
+            if c:
+                j = i
+                for v in low:
+                    buf[j] -= c * v
+                    j += 1
+            buf[i + n - 1] = c
+        else:
+            if not any(buf[: n - 1]):
+                return _poly(self._val - divisor._val, buf[n - 1 :])
+        raise ExactDivisionError(f"{divisor} does not divide {self}")
 
     # -- involution and specializations ----------------------------------
 
@@ -389,37 +415,18 @@ def _poly(val: int, coeffs: Sequence[int]) -> LaurentPoly:
 _ZERO, _ONE = _poly(0, ()), _poly(0, (1,))
 
 
-def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly) -> LaurentPoly:
+def _products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """
-    (x1 * y1 + x2 * y2 + ...) / d over the factor pairs (x, y) in one pass:
-    every product is convolved into one integer buffer, which is divided by
-    d in place, and one polynomial is built. Pairs with a zero factor are
-    skipped, and so are the zero coefficients of each pair's shorter factor.
-    This is the ring's one kernel: each entry of a matrix product and each
-    dot product (d = 1), the product x * y (one pair, d = 1), the exact
-    quotient x / d (one pair x * 1), each back-substitution step of the
-    unitriangular inverse (d = -1) and each entry of canonical_primitive (d
-    the gcd). Raises ExactDivisionError when d does not divide the sum.
+    x1 * y1 + x2 * y2 + ... over the factor pairs (x, y), in one pass: every
+    product is convolved into one integer buffer, which _poly trims once.
+    Pairs with a zero factor are skipped, and so are the zero coefficients
+    of each pair's shorter factor. A single product with a monomial factor
+    c q^k is the other factor, scaled by c unless c = 1 and shifted by k,
+    with no buffer; the other factor's tuple is kept as it is.
 
-    A single product x * y / q^j with a monomial factor c q^k is the other
-    factor, scaled by c unless c = 1 and shifted by k - j; it needs no
-    buffer. Otherwise the buffer is trimmed once. A unit divisor +-q^k
-    divides it by a shift and a sign, any other divisor by long division.
-    A product of canonical factors, and an exact quotient of the trimmed
-    buffer, are already trimmed, so _poly's end checks stop at once and it
-    keeps the tuple it is given.
-
-    >>> one = LaurentPoly.one()
-    >>> _cross_div([(q, q), (-one, one)], q - 1)      # (q^2 - 1) / (q - 1)
-    LaurentPoly('1 + q')
-    >>> _cross_div([(q, q), (-one, one)], q + 2)
-    Traceback (most recent call last):
-    ...
-    qlefschetz.laurent.ExactDivisionError: 2 + q does not divide -1 + q^2
+    >>> _products([(q, 1 - q), (LaurentPoly.one(), q**2)])   # the top terms cancel
+    LaurentPoly('q')
     """
-    den = d._coeffs
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
     # The nonzero products as (lowest exponent, factor, factor), the shorter
     # factor first, and the exponent window [val, top) that holds them all.
     terms = []
@@ -438,9 +445,9 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
             terms.append((lo, xc, yc) if len(xc) <= len(yc) else (lo, yc, xc))
     if not terms:
         return _ZERO
-    if len(terms) == 1 and len(terms[0][1]) == 1 and den == (1,):
+    if len(terms) == 1 and len(terms[0][1]) == 1:
         _, (c,), rest = terms[0]
-        return _poly(val - d._val, rest if c == 1 else tuple([c * y for y in rest]))
+        return _poly(val, rest if c == 1 else tuple([c * y for y in rest]))
     buf = [0] * (top - val)
     for lo, xc, yc in terms:
         k = lo - val
@@ -451,38 +458,7 @@ def _cross_div(pairs: Sequence[tuple[LaurentPoly, LaurentPoly]], d: LaurentPoly)
                     buf[j] += x * y
                     j += 1
             k += 1
-    lo, hi = 0, len(buf)
-    while lo < hi and not buf[lo]:
-        lo += 1
-    while hi > lo and not buf[hi - 1]:
-        hi -= 1
-    if lo == hi:
-        return _ZERO
-    n, lead = len(den), den[-1]
-    if n == 1 and lead == 1:  # every product ends here
-        return _poly(val + lo - d._val, tuple(buf[lo:hi]))
-    if n == 1 and lead == -1:
-        return _poly(val + lo - d._val, tuple([-x for x in buf[lo:hi]]))
-    # Long division from the top. Each quotient coefficient overwrites the
-    # slot it cleared, so buf[lo + n - 1 : hi] ends as the quotient and
-    # buf[lo : lo + n - 1] as the remainder. An exact quotient of a trimmed
-    # sum by a trimmed divisor is trimmed: its end coefficients are the
-    # sum's divided by the divisor's.
-    low = den[:-1]
-    for i in range(hi - n, lo - 1, -1):
-        c, r = divmod(buf[i + n - 1], lead)
-        if r:
-            break
-        if c:
-            j = i
-            for v in low:
-                buf[j] -= c * v
-                j += 1
-        buf[i + n - 1] = c
-    else:
-        if not any(buf[lo : lo + n - 1]):
-            return _poly(val + lo - d._val, tuple(buf[lo + n - 1 : hi]))
-    raise ExactDivisionError(f"{d} does not divide {_cross_div(pairs, _ONE)}")
+    return _poly(val, buf)
 
 
 def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:

@@ -2,8 +2,11 @@
 Exact linear algebra over Z[q, q^-1].
 
 Matrices are dense and immutable; a product walks only the nonzero entries
-of each factor, row by row, one call of the ring's kernel
-laurent._cross_div per entry.
+of each factor, row by row, and computes each entry as one sum of products,
+laurent._products, over its pairs of nonzero factors.
+
+>>> print(LaurentMatrix.from_rows([[1, 2], [0, 1]]) @ KClass([1, LaurentPoly({1: 1})]))
+(1 + 2q, q)
 
 Determinants, ranks and nullspaces are computed by fraction-free (Bareiss)
 elimination on Python integers (see _bareiss): each distinct row is shifted
@@ -41,7 +44,7 @@ import math
 import operator
 from typing import Any, Callable, Iterable, Sequence, Union
 
-from .laurent import IntoPoly, LaurentPoly, _cross_div, _poly, gcd_many
+from .laurent import IntoPoly, LaurentPoly, _poly, _products, gcd_many
 
 EntryLike = Union[int, LaurentPoly]
 
@@ -172,7 +175,10 @@ class KClass(FrozenRecord):
         coefficient there. Used to pin down nullspace generators like
         (1, ..., 1) uniquely. The gcd has valuation 0 and a positive
         constant term, so the first entry fixes that unit before any
-        division, and each entry is one kernel call c * unit / gcd.
+        division, and each entry is (c * unit).exact_div(gcd).
+
+        >>> print(KClass([0, -2, 2 * LaurentPoly({1: 1}) - 2]).canonical_primitive())
+        (0, 1, 1 - q)
         """
         if self.is_zero():
             return self
@@ -180,7 +186,7 @@ class KClass(FrozenRecord):
         first = next(c for c in self.coords if not c.is_zero())
         val = first.valuation()
         unit = LaurentPoly.monomial(1 if first[val] > 0 else -1, -val)
-        return KClass(_cross_div(((c, unit),), g) for c in self.coords)
+        return KClass((c * unit).exact_div(g) for c in self.coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -280,13 +286,13 @@ class LaurentMatrix(FrozenRecord):
         With a matrix, in row order over nonzeros (Gustavson 1978): row i
         collects, for each column j, the pairs (x, y) of a nonzero
         x = self[i, l] and a nonzero y = other[l, j], each row of other
-        reduced once to its nonzero (j, y); each entry is then one kernel
-        call on its pairs.
+        reduced once to its nonzero (j, y); each entry is then one sum of
+        products over its pairs.
         """
         if isinstance(other, KClass):
             if self.cols != len(other):
                 raise ValueError(f"cannot apply {self.rows}x{self.cols} to length {len(other)}")
-            return KClass(_dot(self.row(i), other.coords) for i in range(self.rows))
+            return KClass(_products(zip(self.row(i), other.coords)) for i in range(self.rows))
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -295,7 +301,6 @@ class LaurentMatrix(FrozenRecord):
             )
         n = other.cols
         nonzeros = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(other.rows)]
-        one = LaurentPoly.one()
         entries: list[LaurentPoly] = []
         for i in range(self.rows):
             pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [[] for _ in range(n)]
@@ -303,7 +308,7 @@ class LaurentMatrix(FrozenRecord):
                 if x:
                     for j, y in row:
                         pairs[j].append((x, y))
-            entries += [_cross_div(p, one) for p in pairs]
+            entries += [_products(p) for p in pairs]
         return LaurentMatrix(self.rows, n, tuple(entries))
 
     def star_transpose(self) -> LaurentMatrix:
@@ -332,10 +337,10 @@ class LaurentMatrix(FrozenRecord):
         rows = _distinct_rows(self)
         if len(rows) < self.rows:
             return LaurentPoly.zero()
-        fast, proven = _precisions(rows)
+        fast, proven, norm = _precisions(rows)
         if fast is not None:
             _, kernel = _cramer_vectors(rows, self.cols, fast)
-            if kernel and _annihilates(rows, kernel):
+            if kernel and _annihilates(rows, kernel, norm):
                 return LaurentPoly.zero()
         work, pivot_cols, sign = _bareiss(_packed(rows, proven))
         if len(pivot_cols) < self.rows:
@@ -367,16 +372,16 @@ class LaurentMatrix(FrozenRecord):
         if (bad := self.unitriangular_defect()) is not None:
             raise ValueError(f"matrix must be upper-triangular with unit diagonal: {bad}")
         m = self.rows
-        rows = self.to_rows()
-        zero, minus_one = LaurentPoly.zero(), -LaurentPoly.one()
+        upper = [[-x for x in self.row(p)[p + 1 :]] for p in range(m)]
+        zero = LaurentPoly.zero()
         columns: list[list[LaurentPoly]] = []
         for j in range(m):
             # Column j of the inverse is zero below row j and 1 at it. Above,
-            # bottom up, x[p] = -(sum of rows[p][l] x[l] over p < l <= j), as
-            # one kernel call on the sum over -1.
+            # bottom up, x[p] is the sum of -self[p, l] x[l] over p < l <= j:
+            # upper[p] holds row p of -self right of the diagonal.
             x = [zero] * j + [LaurentPoly.one()]
             for p in range(j - 1, -1, -1):
-                x[p] = _cross_div(list(zip(rows[p][p + 1 : j + 1], x[p + 1 :])), minus_one)
+                x[p] = _products(zip(upper[p], x[p + 1 :]))
             columns.append(x + [zero] * (m - 1 - j))
         return LaurentMatrix(m, m, tuple(columns[j][i] for i in range(m) for j in range(m)))
 
@@ -403,8 +408,8 @@ def gram_pairing(gram: LaurentMatrix, h0: KClass, h1: KClass) -> LaurentPoly:
             f"class lengths {len(h0)}, {len(h1)} do not fit a "
             f"{gram.rows}x{gram.cols} pairing matrix"
         )
-    rows = [i for i, x in enumerate(h0.coords) if x]
-    return _dot([h0[i].star() for i in rows], [_dot(gram.row(i), h1.coords) for i in rows])
+    rows = [(x.star(), gram.row(i)) for i, x in enumerate(h0.coords) if x]
+    return _products((x, _products(zip(row, h1.coords))) for x, row in rows)
 
 
 def pairing_matrix(gram: LaurentMatrix, classes: Sequence[KClass]) -> LaurentMatrix:
@@ -418,11 +423,6 @@ def pairing_matrix(gram: LaurentMatrix, classes: Sequence[KClass]) -> LaurentMat
             raise ValueError(f"class {i + 1} has length {len(c)}, not the pairing matrix's {m}")
     r = LaurentMatrix(m, len(classes), tuple(c[i] for i in range(m) for c in classes))
     return r.star_transpose() @ gram @ r
-
-
-def _dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """The sum of x * y over paired entries, one kernel call; zero factors drop out."""
-    return _cross_div(list(zip(xs, ys)), LaurentPoly.one())
 
 
 def _distinct_rows(matrix: LaurentMatrix) -> list[list[LaurentPoly]]:
@@ -458,9 +458,11 @@ def _valuations(rows: Sequence[Sequence[LaurentPoly]]) -> list[int]:
     return [min((p._val for p in row if p._coeffs), default=0) for row in rows]
 
 
-def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int]:
+def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int, int]:
     """
-    The fast and proven precisions for eliminating rows at q = 2^bits.
+    The fast and proven precisions for eliminating rows at q = 2^bits, and
+    the largest row norm sum_j |B_ij|_1, which the check of a fast result
+    needs (see _annihilates): each entry's norm is computed once, here.
 
     The proven precision is the least multiple of 8 with every minor's
     coefficients below 2^(bits - 1) in absolute value. A coefficient of a
@@ -479,7 +481,8 @@ def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int]
     proven = -(-((min(squares).bit_length() + 1) // 2 + 1) // 8) * 8
     half = 1 << (_FAST_BITS - 1)
     fits = all(-half <= c < half for row in rows for p in row for c in p._coeffs)
-    return (_FAST_BITS if fits and _FAST_BITS < proven else None), proven
+    fast = _FAST_BITS if fits and _FAST_BITS < proven else None
+    return fast, proven, max(map(sum, norms), default=0)
 
 
 def _pack(coeffs: tuple[int, ...], bits: int) -> int:
@@ -543,25 +546,29 @@ def _kernel(
     lower the rank, so that proves the rank and the pivot columns too.
     Otherwise the rows are eliminated again at the proven precision.
     """
-    fast, proven = _precisions(rows)
+    fast, proven, norm = _precisions(rows)
     if fast is not None:
         pivot_cols, kernel = _cramer_vectors(rows, ncols, fast)
-        if _annihilates(rows, kernel):
+        if _annihilates(rows, kernel, norm):
             return pivot_cols, kernel
     return _cramer_vectors(rows, ncols, proven)
 
 
-def _annihilates(rows: Sequence[Sequence[LaurentPoly]], kernel: list[list[LaurentPoly]]) -> bool:
+def _annihilates(
+    rows: Sequence[Sequence[LaurentPoly]], kernel: list[list[LaurentPoly]], norm: int
+) -> bool:
     """
     Whether row @ v == 0 exactly for every row and every vector v of kernel,
-    decided on integers. Every coefficient of row_i @ v is at most
-    C = N * V in absolute value, N the largest row norm sum_j |B_ij|_1 and V
-    the largest absolute coefficient of any vector. The rows and vectors are
+    decided on integers; an empty kernel is annihilated at once. Every
+    coefficient of row_i @ v is at most C = N * V in absolute value, N =
+    norm, the largest row norm sum_j |B_ij|_1 (see _precisions), and V the
+    largest absolute coefficient of any vector. The rows and vectors are
     packed at q = 2^bits, bits the least multiple of 8 that puts C, N and V
     below 2^(bits - 1); there only the zero polynomial has value 0, so each
     integer dot product is zero exactly when its polynomial is.
     """
-    norm = max((sum([sum(map(abs, p._coeffs)) for p in row]) for row in rows), default=0)
+    if not kernel:
+        return True
     top = max((max(map(abs, p._coeffs)) for v in kernel for p in v if p._coeffs), default=0)
     bits = -(-(max(norm * top, norm, top).bit_length() + 1) // 8) * 8
     packed_rows = _packed(rows, bits)

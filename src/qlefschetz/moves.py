@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _products
 from .lefschetz import LefschetzAlgebra
-from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix, _dot
+from .matrix import EntryLike, FrozenRecord, KClass, LaurentMatrix
 
 
 class TwistWord(FrozenRecord):
@@ -137,8 +137,8 @@ def _conjugate(
     C* S C differs from S only in the rows and columns the block covers:
     those columns of S C are the rows of S times the block's columns, and
     those rows of C* (S C) are the block's star-transposed rows times the
-    block's rows of S C. So a move computes O(m) entries, each one kernel
-    call, and copies the rest.
+    block's rows of S C. So a move computes O(m) entries, each one sum of
+    products, and copies the rest.
     """
     m, t = alg.size, len(block)
     rows = [[LaurentPoly.coerce(x) for x in row] for row in block]
@@ -149,12 +149,12 @@ def _conjugate(
     s = list(alg.seifert.entries)
     for i in range(0, m * m, m):
         part = s[i + k : i + k + t]  # one row of S in the block's columns
-        s[i + k : i + k + t] = [_dot(part, column) for column in columns]
+        s[i + k : i + k + t] = [_products(zip(part, column)) for column in columns]
     sc_rows = s[k * m : (k + t) * m]
     for i, column in enumerate(columns):
         column_star = [x.star() for x in column]
         s[(k + i) * m : (k + i + 1) * m] = [
-            _dot(column_star, sc_rows[j::m]) for j in range(m)
+            _products(zip(column_star, sc_rows[j::m])) for j in range(m)
         ]
     seifert = LaurentMatrix(m, m, tuple(s))
     return LefschetzAlgebra.from_seifert(alg.dim, seifert), LaurentMatrix(m, m, tuple(c))

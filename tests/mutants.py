@@ -73,29 +73,29 @@ MUTANTS = (
     Mutant(
         "long-division-without-zero-quotient-skip",
         "laurent.py",
-        "        if c:\n"
+        "            if c:\n"
+        "                j = i\n"
+        "                for v in low:\n"
+        "                    buf[j] -= c * v\n"
+        "                    j += 1\n",
         "            j = i\n"
         "            for v in low:\n"
         "                buf[j] -= c * v\n"
         "                j += 1\n",
-        "        j = i\n"
-        "        for v in low:\n"
-        "            buf[j] -= c * v\n"
-        "            j += 1\n",
         ("tests/test_cross_div.py::test_a_quotient_with_long_zero_runs_divides_fast",),
     ),
     Mutant(
-        "kernel-without-negation-for-minus-one",
-        "laurent.py",
-        "tuple([-x for x in buf[lo:hi]])",
-        "tuple(buf[lo:hi])",
-        ("tests/test_cross_div.py::test_monomial_divisor_examples",),
+        "inverse-without-negation",
+        "matrix.py",
+        "[[-x for x in self.row(p)[p + 1 :]] for p in range(m)]",
+        "[[x for x in self.row(p)[p + 1 :]] for p in range(m)]",
+        ("tests/test_lefschetz.py::test_monodromy_defining_property",),
     ),
     Mutant(
         "kernel-without-remainder-check",
         "laurent.py",
-        "        if r:\n            break\n",
-        "        if False:\n            break\n",
+        "            if r:\n                break\n",
+        "            if False:\n                break\n",
         ("tests/test_cross_div.py::test_cross_div_edge_cases",),
     ),
     Mutant(
@@ -139,8 +139,8 @@ MUTANTS = (
     Mutant(
         "elimination-without-the-fast-precision",
         "matrix.py",
-        "    return (_FAST_BITS if fits and _FAST_BITS < proven else None), proven\n",
-        "    return None, proven\n",
+        "    fast = _FAST_BITS if fits and _FAST_BITS < proven else None\n",
+        "    fast = None\n",
         ("tests/test_banded_elimination.py::test_the_fast_precision_keeps_a_wide_kernel_fast",),
     ),
     Mutant(

@@ -274,7 +274,7 @@ def check_bits(monkeypatch, rows, kernel) -> tuple[bool, set[int]]:
 
     with monkeypatch.context() as patch:
         patch.setattr(matrix_module, "_packed", recording)
-        return _annihilates(rows, kernel), bits
+        return _annihilates(rows, kernel, _precisions(rows)[2]), bits
 
 
 def polys(lines) -> list[list[LaurentPoly]]:
@@ -293,7 +293,8 @@ def test_the_check_refuses_a_product_that_vanishes_at_a_small_power(row, vector)
     """Each product is nonzero, but vanishes at q = 2^8 or at q = 2^16."""
     b, v = LaurentMatrix.from_rows([row]), KClass(vector)
     assert not (b @ v).is_zero()
-    assert not _annihilates(b.to_rows(), [list(v.coords)])
+    rows = b.to_rows()
+    assert not _annihilates(rows, [list(v.coords)], _precisions(rows)[2])
 
 
 @pytest.mark.parametrize("b", [8, 16, 40])
@@ -318,6 +319,12 @@ def test_the_check_precision_holds_the_bound(monkeypatch, b, below):
     ]
     for rows, kernel, verdict in cases:
         assert check_bits(monkeypatch, polys(rows), polys(kernel)) == (verdict, expected)
+
+
+def test_an_empty_kernel_is_annihilated_without_packing(monkeypatch):
+    """A full-column-rank result at the fast precision has no vector to check."""
+    rows = polys([[1 + q, 2], [q, 1 - q], [3, 0]])
+    assert check_bits(monkeypatch, rows, []) == (True, set())
 
 
 small_coefficients = st.one_of(
@@ -352,7 +359,8 @@ def test_the_check_agrees_with_the_polynomial_product(data):
             row[i], row[j] = s * v[j], -(s * v[i])
         rows.append(row)
     b = LaurentMatrix.from_rows(rows)
-    assert _annihilates(rows, vectors) == all((b @ KClass(v)).is_zero() for v in vectors)
+    expected = all((b @ KClass(v)).is_zero() for v in vectors)
+    assert _annihilates(rows, vectors, _precisions(rows)[2]) == expected
 
 
 def test_an_entry_q_minus_2_to_the_32(monkeypatch):
@@ -391,7 +399,7 @@ def test_a_nonsingular_det_beyond_31_bits_is_proven(monkeypatch):
         for _ in range(12)
     ]
     b = LaurentMatrix.from_rows(rows)
-    fast, proven = _precisions(rows)
+    fast, proven, _ = _precisions(rows)
     assert fast == _FAST_BITS < proven
     calls = eliminations(monkeypatch)
     det = b.det()
@@ -416,7 +424,7 @@ def test_the_fast_precision_keeps_a_wide_kernel_fast():
     bits, it takes about 3.5 s.
     """
     b = xab(29, 51, 4).intersection
-    assert _precisions(b.to_rows()) == (_FAST_BITS, 320)
+    assert _precisions(b.to_rows())[:2] == (_FAST_BITS, 320)
     start = time.perf_counter()
     assert b.nullspace() == [KClass([1] * 80)]
     assert time.perf_counter() - start < 1.5

@@ -16,8 +16,9 @@ matrix [[B, B], [B, B]] repeats each row, `compute det` eliminates nothing
 and `compute nullspace` eliminates the 8 distinct rows of 16.
 
 Elimination, and the check of a result found at the fast precision, run on
-integers: inside `det` and `nullspace` the ring kernel `_cross_div` is
-called only by `canonical_primitive`, once per entry of each kernel vector.
+integers: inside `det` and `nullspace` the ring's division
+`LaurentPoly.exact_div` is called only by `canonical_primitive`, once per
+entry of each kernel vector.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import pytest
 from qlefschetz import catalog, matrix, moves, obstructions  # noqa: F401
 from qlefschetz.catalog import xab
 from qlefschetz.cli import main
+from qlefschetz.laurent import LaurentPoly
 from qlefschetz.matrix import KClass, LaurentMatrix, _precisions
 from qlefschetz.serialize import dumps_canonical, fibration_to_obj
 
@@ -160,7 +162,7 @@ def test_elimination_calls_the_ring_kernel_only_to_normalize(params, fast, monke
     path.write_text(dumps_canonical(fibration_to_obj(alg)), encoding="utf-8")
     calls: Counter = Counter()
     inside: list[str] = []
-    kernel = matrix._cross_div
+    kernel = LaurentPoly.exact_div
 
     def counting(*args):
         if inside:
@@ -177,7 +179,7 @@ def test_elimination_calls_the_ring_kernel_only_to_normalize(params, fast, monke
 
         return wrapper
 
-    monkeypatch.setattr(matrix, "_cross_div", counting)
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting)
     for home, name in ((LaurentMatrix, "det"), (LaurentMatrix, "nullspace"),
                        (KClass, "canonical_primitive")):
         monkeypatch.setattr(home, name, scoped(name, getattr(home, name)))

@@ -10,6 +10,7 @@ import pytest
 
 import qlefschetz.laurent as laurent_module
 import qlefschetz.matrix as matrix_module
+import qlefschetz.moves as moves_module
 from qlefschetz.catalog import induced_total_space, milnor_ar, mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError
@@ -243,14 +244,15 @@ def test_inducing_xab_hands_the_kernel_few_factor_pairs(monkeypatch):
     products, not as 40^2 pairings that each pass two full rows of 40.
     """
     pairs = []
-    kernel = laurent_module._cross_div
+    kernel = laurent_module._products
 
-    def counting(ps, d):
+    def counting(ps):
+        ps = list(ps)
         pairs.append(len(ps))
-        return kernel(ps, d)
+        return kernel(ps)
 
-    for module in (laurent_module, matrix_module):
-        monkeypatch.setattr(module, "_cross_div", counting)
+    for module in (laurent_module, matrix_module, moves_module):
+        monkeypatch.setattr(module, "_products", counting)
     alg = xab(11, 29, 4)
     monkeypatch.undo()
     m = alg.size

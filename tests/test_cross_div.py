@@ -1,18 +1,18 @@
 """
-The ring's one kernel _cross_div, and the product and exact quotient that
-run through it, against the schoolbook oracles in tests/oracles.py.
+The ring's product routine _products and its long division exact_div, and
+the product and quotient that run through them, against the schoolbook
+oracles in tests/oracles.py.
 
-(x1 * y1 + ... + xk * yk) / d must equal the long division of the
-schoolbook sum of products by d whenever that division is exact, raise
-ExactDivisionError whenever it is not and ZeroDivisionError when d is
-zero; a * p and a.exact_div(d) must do the same. Half of the cases scale
-the first factors by d so that the division is exact; the other half use
-an arbitrary d, which mostly does not divide. Operands lean toward
-monomials +-q^k and c q^k, and divisors toward q^j, the cases the kernel
-answers by shifting the other factor without a buffer; every result must
-be canonical. A unit divisor +-q^k divides by a shift and a sign, and any
-other monomial c q^k by long division; the examples below pin both for
-c = -1, 2 and -3.
+x1 * y1 + ... + xk * yk must equal the schoolbook sum of products, and its
+exact_div by d the long division of that sum by d whenever the division is
+exact; exact_div must raise ExactDivisionError whenever it is not and
+ZeroDivisionError when d is zero; a * p and a.exact_div(d) must do the
+same. Half of the cases scale the first factors by d so that the division
+is exact; the other half use an arbitrary d, which mostly does not divide.
+Operands lean toward monomials +-q^k and c q^k, the cases _products answers
+by shifting the other factor without a buffer, and divisors toward q^j;
+every result must be canonical. The examples below pin the division by
+monomials c q^k for c = -1, 2 and -3.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlefschetz.laurent import ExactDivisionError, LaurentPoly, _cross_div, q
+from qlefschetz.laurent import ExactDivisionError, LaurentPoly, _products, q
 
 from oracles import assert_canonical, long_division, schoolbook_product, schoolbook_sum_div
 
@@ -67,7 +67,8 @@ def test_cross_div_mul_and_exact_div_match_the_oracles(a, p, h, b, d, exact):
     if exact:
         a, b = schoolbook_product(a, d), schoolbook_product(b, d)
     cross = schoolbook_product(a, p) - schoolbook_product(h, b)
-    agrees(lambda: _cross_div([(a, p), (-h, b)], d), lambda: long_division(cross, d))
+    agrees(lambda: _products([(a, p), (-h, b)]), lambda: cross)
+    agrees(lambda: _products([(a, p), (-h, b)]).exact_div(d), lambda: long_division(cross, d))
     agrees(lambda: a * p, lambda: schoolbook_product(a, p))
     agrees(lambda: a.exact_div(d), lambda: long_division(a, d))
 
@@ -81,7 +82,8 @@ def test_cross_div_mul_and_exact_div_match_the_oracles(a, p, h, b, d, exact):
 def test_sum_of_products_matches_the_oracle(pairs, d, exact):
     if exact:
         pairs = [(schoolbook_product(x, d), y) for x, y in pairs]
-    agrees(lambda: _cross_div(pairs, d), lambda: schoolbook_sum_div(pairs, d))
+    agrees(lambda: _products(pairs), lambda: schoolbook_sum_div(pairs, LaurentPoly.one()))
+    agrees(lambda: _products(pairs).exact_div(d), lambda: schoolbook_sum_div(pairs, d))
 
 
 @bounded
@@ -90,32 +92,32 @@ def test_monomial_factor_shifts_the_other_factor(c, other, j, left):
     a, p = (c, other) if left else (other, c)
     d = q**j
     expected = long_division(schoolbook_product(a, p), d)
-    agrees(lambda: _cross_div([(a, p)], d), lambda: expected)
+    agrees(lambda: _products([(a, p)]).exact_div(d), lambda: expected)
     agrees(lambda: a * p, lambda: schoolbook_product(a, p))
 
 
 def test_cross_div_edge_cases():
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    assert _cross_div([(zero, q), (zero, q)], q - 1) == zero
-    assert _cross_div([(q, q), (-q, q)], 1 + q) == zero  # the products cancel
-    assert _cross_div([(q**-3, 2 * q), (zero, q)], 2 * q**-4) == q**2
-    assert _cross_div([(zero, zero), (one, 1 - q**2)], 1 - q) == 1 + q
-    assert _cross_div([(-q, 1 - q)], q**2) == -(q**-1) + 1  # sign and both shifts
-    assert _cross_div([(2 * q**3, 3 * q**-1), (zero, q)], q**-1) == 6 * q**3
-    assert _cross_div([], q) == zero
+    assert _products([(zero, q), (zero, q)]).exact_div(q - 1) == zero
+    assert _products([(q, q), (-q, q)]).exact_div(1 + q) == zero  # the products cancel
+    assert _products([(q**-3, 2 * q), (zero, q)]).exact_div(2 * q**-4) == q**2
+    assert _products([(zero, zero), (one, 1 - q**2)]).exact_div(1 - q) == 1 + q
+    assert _products([(-q, 1 - q)]).exact_div(q**2) == -(q**-1) + 1  # sign and both shifts
+    assert _products([(2 * q**3, 3 * q**-1), (zero, q)]).exact_div(q**-1) == 6 * q**3
+    assert _products([]).exact_div(q) == zero
     p = 1 - q
-    assert _cross_div([(p, one)], one)._coeffs is p._coeffs  # reused as it stands
+    assert _products([(p, one)])._coeffs is p._coeffs  # reused as it stands
     with pytest.raises(ExactDivisionError):
-        _cross_div([(q, one)], 2 * one)  # a monomial divisor
+        _products([(q, one)]).exact_div(2 * one)  # a monomial divisor
     with pytest.raises(ExactDivisionError):
         # 3q / 2q leaves 1 in the top slot; the low slot then cancels exactly.
-        _cross_div([(1 + 3 * q, one)], 1 + 2 * q)
+        _products([(1 + 3 * q, one)]).exact_div(1 + 2 * q)
     with pytest.raises(ExactDivisionError):
-        _cross_div([(one, one)], q**2 + 1)  # divisor longer than the product
+        _products([(one, one)]).exact_div(q**2 + 1)  # divisor longer than the product
     with pytest.raises(ZeroDivisionError):
-        _cross_div([(q, q), (-one, one)], zero)
+        _products([(q, q), (-one, one)]).exact_div(zero)
     with pytest.raises(ZeroDivisionError):
-        _cross_div([], zero)
+        _products([]).exact_div(zero)
 
 
 @pytest.mark.parametrize("k", [-2, 0, 3])
@@ -125,15 +127,15 @@ def test_monomial_divisor_examples(c, k):
     x, y = 1 - 2 * q + q**3, 3 * q**-1 + q
     # c (x q + y - q^4) is exact, and its top terms cancel, so the buffer is trimmed.
     exact = [(c * x, q), (c * y, LaurentPoly.one()), (c * q, -(q**3))]
-    result = _cross_div(exact, d)
+    result = _products(exact).exact_div(d)
     assert result == schoolbook_sum_div(exact, d)
     assert_canonical(result)
-    assert _cross_div([(x, d), (-x, d)], d) == LaurentPoly.zero()  # the sum cancels
+    assert _products([(x, d), (-x, d)]).exact_div(d) == LaurentPoly.zero()  # the sum cancels
     if c != -1:  # -1 divides everything
         inexact = [(c * x, q), (LaurentPoly.one(), q**2)]
         total = schoolbook_sum_div(inexact, LaurentPoly.one())
         with pytest.raises(ExactDivisionError, match=re.escape(f"{d} does not divide {total}")):
-            _cross_div(inexact, d)
+            _products(inexact).exact_div(d)
 
 
 def test_a_quotient_with_long_zero_runs_divides_fast():
@@ -146,5 +148,5 @@ def test_a_quotient_with_long_zero_runs_divides_fast():
     d, r = 1 + q**3000, 1 + q**6000
     product = d * r
     start = time.perf_counter()
-    assert _cross_div([(product, LaurentPoly.one())], d) == r
+    assert product.exact_div(d) == r
     assert time.perf_counter() - start < 0.25

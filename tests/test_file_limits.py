@@ -278,7 +278,7 @@ def test_the_window_budget_holds_for_hostile_files(tmp_path, capsys, k, window):
 def test_monodromy_of_a_hostile_datum_stays_fast():
     """
     At m = 5, q^4096 entries make every entry of the unitriangular inverse
-    a sum of terms 8192 exponents apart. The ring kernel skips the zero
+    a sum of terms 8192 exponents apart. _products skips the zero
     coefficients of the shorter factor, so monodromy takes about 50 ms;
     without that skip it takes about 50 s.
     """

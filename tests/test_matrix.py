@@ -91,13 +91,14 @@ def test_mat_mul_multiplies_each_pair_of_nonzero_factors_once(monkeypatch):
     )
     assert 0 < sum(expected.values()) < 4 * 5 * 3
     pairs = []
-    kernel = matrix_module._cross_div
+    kernel = matrix_module._products
 
-    def recording(ps, d):
+    def recording(ps):
+        ps = list(ps)
         pairs.extend(ps)
-        return kernel(ps, d)
+        return kernel(ps)
 
-    monkeypatch.setattr(matrix_module, "_cross_div", recording)
+    monkeypatch.setattr(matrix_module, "_products", recording)
     product = a @ b
     monkeypatch.undo()
     assert Counter(pairs) == expected

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qlefschetz.laurent as laurent_module
 import qlefschetz.matrix as matrix_module
+import qlefschetz.moves as moves_module
 from qlefschetz.catalog import mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
@@ -244,14 +245,15 @@ def test_a_hurwitz_move_makes_linearly_many_kernel_calls(monkeypatch):
     alg = moved_xab()
     m = alg.size
     calls = []
-    kernel = laurent_module._cross_div
+    kernel = laurent_module._products
 
-    def counting(pairs, d):
+    def counting(pairs):
+        pairs = list(pairs)
         calls.append(len(pairs))
-        return kernel(pairs, d)
+        return kernel(pairs)
 
-    for module in (laurent_module, matrix_module):
-        monkeypatch.setattr(module, "_cross_div", counting)
+    for module in (laurent_module, matrix_module, moves_module):
+        monkeypatch.setattr(module, "_products", counting)
     moved, c = hurwitz_move(alg, m // 2)
     monkeypatch.undo()
     assert 0 < len(calls) <= 8 * m
