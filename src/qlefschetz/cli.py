@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 from .laurent import MAX_SPAN
 from .lefschetz import ConsistencyError, LefschetzAlgebra
-from .matrix import KClass, LaurentMatrix
+from .matrix import MAX_SIZE, KClass, LaurentMatrix
 from .serialize import (
     FileFormatError,
     Rendered,
@@ -146,19 +146,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_json(path: str, where: str) -> Any:
     """
-    Parse a JSON file. Nesting too deep to parse, text that is not UTF-8
-    and an integer literal beyond the interpreter's digit limit are format
-    errors of `where`; a syntax error stays a JSONDecodeError.
+    Parse a JSON file. A key repeated in one object, nesting too deep to
+    parse, text that is not UTF-8 and an integer literal beyond the
+    interpreter's digit limit are format errors of `where`; a syntax error
+    stays a JSONDecodeError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise FileFormatError(f"{where}: JSON nested too deeply") from None
         except json.JSONDecodeError:
             raise
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The object of pairs; a repeated key is a ValueError, not a silent overwrite."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
 
 
 def _load_fibration(path: str) -> tuple[LefschetzAlgebra, list[str] | None]:
@@ -407,7 +418,14 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     return _emit(args, report, lambda: [f"word: {word}", f"class: {result}"])
 
 
+def _within_budget(m: int, options: str) -> None:
+    """Refuse typed sizes that ask for a datum of more than MAX_SIZE objects, naming them."""
+    if m > MAX_SIZE:
+        raise ValueError(f"{options} asks for m = {m}, over the size budget of {MAX_SIZE}")
+
+
 def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
+    _within_budget(args.r + 1, f"--r {args.r}")
     from .catalog import milnor_ar
 
     fibre, spheres = milnor_ar(args.r, args.n)
@@ -430,6 +448,7 @@ def _cmd_catalog_milnor(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog_xab(args: argparse.Namespace) -> int:
+    _within_budget(args.a + args.b, f"--a {args.a} --b {args.b}")
     from .catalog import xab
 
     alg = xab(args.a, args.b, args.n)

@@ -480,7 +480,9 @@ def laurent_gcd(a: IntoPoly, b: IntoPoly) -> LaurentPoly:
     while fb:
         fa, fb = fb, _primitive_prem(fa, fb)
     content = math.gcd(content_a, content_b)
-    return _unit_normal(_poly(0, [content * c for c in fa]))
+    if fa and fa[0] < 0:
+        content = -content
+    return _poly(0, [content * c for c in fa])
 
 
 def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -511,14 +513,6 @@ def _primitive_prem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     coeffs = _poly(0, rem)._coeffs
     g = math.gcd(*coeffs)
     return tuple(c // g for c in coeffs)
-
-
-def _unit_normal(p: LaurentPoly) -> LaurentPoly:
-    """The unit multiple of p with valuation 0 and positive constant term."""
-    if p.is_zero():
-        return p
-    sign = 1 if p._coeffs[0] > 0 else -1
-    return _poly(0, [sign * c for c in p._coeffs])
 
 
 #: The generator q, so that expressions read like the formulas they encode.

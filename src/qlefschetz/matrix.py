@@ -53,6 +53,12 @@ EntryLike = Union[int, LaurentPoly]
 #: on integers of about bits * W bits, and its exact divisions are quadratic.
 MAX_WINDOW = 2**13
 
+#: The size budget: qlef refuses typed sizes (catalog milnor's --r, xab's
+#: --a and --b) that ask for a datum of more than MAX_SIZE objects, m = r + 1
+#: or a + b. Building and rendering a datum take time and memory growing as
+#: m^2: the slowest catalog command at m = 512 takes 3 s and 200 MB on 2 cores.
+MAX_SIZE = 512
+
 #: Elimination first runs at q = 2^_FAST_BITS when that is below the proven
 #: precision and holds every input coefficient; see _precisions.
 _FAST_BITS = 32
@@ -636,8 +642,6 @@ def _bareiss(work: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     den = [prev] * nrows
     r = 0
     for c in range(ncols):
-        if r >= nrows:
-            break
         candidates = [i for i in range(r, nrows) if work[i][c]]
         if not candidates:
             continue

@@ -96,7 +96,7 @@ MUTANTS = (
         "laurent.py",
         "            if r:\n                break\n",
         "            if False:\n                break\n",
-        ("tests/test_cross_div.py::test_cross_div_edge_cases",),
+        ("tests/test_cross_div.py::test_products_and_exact_div_edge_cases",),
     ),
     Mutant(
         "det-one-for-repeated-rows",
@@ -244,6 +244,92 @@ MUTANTS = (
         '        if args.kind != "rescale":\n            raise\n',
         "        raise\n",
         ("tests/test_cli.py::test_move_writes_only_files_it_can_read",),
+    ),
+    Mutant(
+        "certificate-in-column-major-order",
+        "obstructions.py",
+        "        i, j = divmod(ij, len(classes))\n",
+        "        j, i = divmod(ij, len(classes))\n",
+        ("tests/test_pairing_matrix.py",),
+    ),
+    Mutant(
+        "certificate-with-the-parity-flipped",
+        "obstructions.py",
+        "    if alg.parity_sign == 1:\n",
+        "    if alg.parity_sign == -1:\n",
+        ("tests/test_obstructions.py",),
+    ),
+    Mutant(
+        "pairing-without-the-length-check",
+        "matrix.py",
+        "        if len(c) != m:\n",
+        "        if False:\n",
+        ("tests/test_catalog.py::test_induced_total_space_names_a_class_of_wrong_length",),
+    ),
+    Mutant(
+        "sphere-test-deciding-rank-3",
+        "obstructions.py",
+        "    if len(kernel) > 1:\n",
+        "    if len(kernel) == 2:\n",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "sphere-test-deciding-rank-4",
+        "obstructions.py",
+        "    if len(kernel) > 1:\n",
+        "    if 1 < len(kernel) < 4:\n",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "kernel-of-at-most-two-classes",
+        "obstructions.py",
+        "    return alg.intersection.nullspace()\n",
+        "    return alg.intersection.nullspace()[:2]\n",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "mirror-plane-resolving-its-words-twice",
+        "catalog.py",
+        "    return induced_total_space(fibre, specs, spheres)\n",
+        "    induced_total_space(fibre, specs, spheres)\n"
+        "    return induced_total_space(fibre, specs, spheres)\n",
+        ("tests/test_call_counts.py::test_subcommand_computes_each_value_once",),
+    ),
+    Mutant(
+        "catalog-importing-obstructions",
+        "catalog.py",
+        "from .moves import TwistWord, _checked, apply_twist_word\n",
+        "from . import obstructions  # noqa: F401\n"
+        "from .moves import TwistWord, _checked, apply_twist_word\n",
+        ("tests/test_cold_start.py",),
+    ),
+    Mutant(
+        "det-returning-its-star",
+        "matrix.py",
+        "        return _unpack(sign * last, proven, sum(_valuations(rows)))\n",
+        "        return _unpack(sign * last, proven, sum(_valuations(rows))).star()\n",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "induced-total-space-three-dimensions-up",
+        "catalog.py",
+        "        fibre.dim + 1, pairing_matrix(fibre.seifert, resolved)\n",
+        "        fibre.dim + 3, pairing_matrix(fibre.seifert, resolved)\n",
+        ("tests/test_readme.py::test_the_readme_classes_induce_an_odd_total_space",),
+    ),
+    Mutant(
+        "repeated-key-kept",
+        "cli.py",
+        "        if key in obj:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_repeated_key_names_the_file",),
+    ),
+    Mutant(
+        "size-budget-one-too-high",
+        "cli.py",
+        "    if m > MAX_SIZE:\n",
+        "    if m > MAX_SIZE + 1:\n",
+        ("tests/test_cli.py::test_catalog_refuses_a_size_over_the_budget",),
     ),
 )
 

@@ -19,6 +19,9 @@ import math
 import random
 from fractions import Fraction
 
+import qlefschetz.laurent as laurent_module
+import qlefschetz.matrix as matrix_module
+import qlefschetz.moves as moves_module
 from qlefschetz.catalog import milnor_ar, xab
 from qlefschetz.laurent import ExactDivisionError, LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError, LefschetzAlgebra
@@ -58,6 +61,25 @@ def moved_xab() -> LefschetzAlgebra:
     for k in (3, 9, 15, 20, 4, 11):
         alg, _ = hurwitz_move(alg, k)
     return alg
+
+
+def counted_products(monkeypatch) -> list[int]:
+    """
+    Patch the product routine where laurent, matrix and moves bind it with
+    a wrapper that records the number of factor pairs of each call, and
+    return that record; it grows until monkeypatch.undo().
+    """
+    calls: list[int] = []
+    kernel = laurent_module._products
+
+    def counting(pairs):
+        pairs = list(pairs)
+        calls.append(len(pairs))
+        return kernel(pairs)
+
+    for module in (laurent_module, matrix_module, moves_module):
+        monkeypatch.setattr(module, "_products", counting)
+    return calls
 
 
 def assert_canonical(p: LaurentPoly) -> None:

@@ -8,9 +8,6 @@ import re
 
 import pytest
 
-import qlefschetz.laurent as laurent_module
-import qlefschetz.matrix as matrix_module
-import qlefschetz.moves as moves_module
 from qlefschetz.catalog import induced_total_space, milnor_ar, mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import ConsistencyError
@@ -20,6 +17,7 @@ from qlefschetz.moves import TwistWord
 from oracles import (
     band_matrix,
     classical_band_entry,
+    counted_products,
     deformed_sphere_pairing,
     mirror_p2_det_consistent,
     mirror_p2_det_factors,
@@ -243,16 +241,7 @@ def test_inducing_xab_hands_the_kernel_few_factor_pairs(monkeypatch):
     The induction pairs the 40 windows of xab(11, 29, 4) as two sparse
     products, not as 40^2 pairings that each pass two full rows of 40.
     """
-    pairs = []
-    kernel = laurent_module._products
-
-    def counting(ps):
-        ps = list(ps)
-        pairs.append(len(ps))
-        return kernel(ps)
-
-    for module in (laurent_module, matrix_module, moves_module):
-        monkeypatch.setattr(module, "_products", counting)
+    pairs = counted_products(monkeypatch)
     alg = xab(11, 29, 4)
     monkeypatch.undo()
     m = alg.size

@@ -14,7 +14,7 @@ from qlefschetz.catalog import milnor_ar, mirror_p2, xab
 from qlefschetz.cli import main
 from qlefschetz.laurent import MAX_DIGITS, LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
-from qlefschetz.matrix import LaurentMatrix
+from qlefschetz.matrix import MAX_SIZE, LaurentMatrix
 from qlefschetz.serialize import Rendered, dumps_canonical, fibration_to_obj, poly_to_obj
 
 from oracles import CLASSICAL_23_INTERSECTION, CLASSICAL_23_SEIFERT
@@ -586,6 +586,62 @@ def test_deeply_nested_json_names_the_file(tmp_path, capsys, site, role, text):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{role}: JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "site, role, text, key",
+    [
+        ("verify", "fibration", ', "n": 6}', "n"),
+        ("verify", "fibration", ', "n": 3}', "n"),
+        ("verify", "fibration", '{"n": 4, "m": 1, "B": {"rows": 1, "rows": 1}}', "rows"),
+        ("target", "target", '{"vector": [], "vector": []}', "vector"),
+        ("generators", "classes", '{"generators": [], "generators": []}', "generators"),
+        ("induce", "classes", '{"classes": [], "classes": []}', "classes"),
+    ],
+    ids=["fibration-n-6", "fibration-n-3", "fibration-matrix", "target", "generators", "induce"],
+)
+def test_a_repeated_key_names_the_file(tmp_path, capsys, site, role, text, key):
+    # A text starting with a comma repeats a key of the n = 4 fibre file.
+    fibre = write_xab(tmp_path)
+    if text.startswith(","):
+        text = fibre.read_text(encoding="utf-8").rstrip().removesuffix("}") + text
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(text, encoding="utf-8")
+    argv = {
+        "verify": ["verify", repeated],
+        "target": ["twist", fibre, "t1", "--target-file", repeated],
+        "generators": ["twist", fibre, "t1", "--target-index", 1, "--generators-file", repeated],
+        "induce": ["catalog", "induce", "--fibre", fibre, "--classes", repeated],
+    }[site]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f'bad input: {role}: duplicate key "{key}"\n'
+
+
+@pytest.mark.parametrize(
+    "argv, options, m",
+    [
+        (["milnor", "--r", MAX_SIZE], f"--r {MAX_SIZE}", MAX_SIZE + 1),
+        (["milnor", "--r", 10**12], f"--r {10**12}", 10**12 + 1),
+        (["xab", "--a", MAX_SIZE // 2, "--b", MAX_SIZE // 2 + 1],
+         f"--a {MAX_SIZE // 2} --b {MAX_SIZE // 2 + 1}", MAX_SIZE + 1),
+        (["xab", "--a", 10**12, "--b", 10**12 + 1], f"--a {10**12} --b {10**12 + 1}", 2 * 10**12 + 1),
+        (["xab", "--a", 1, "--b", MAX_SIZE], f"--a 1 --b {MAX_SIZE}", MAX_SIZE + 1),
+        (["xab", "--a", 1, "--b", 10**12], f"--a 1 --b {10**12}", 10**12 + 1),
+    ],
+    ids=["r-over", "r-huge", "a-over", "a-huge", "b-over", "b-huge"],
+)
+def test_catalog_refuses_a_size_over_the_budget(tmp_path, capsys, argv, options, m):
+    # Refused before anything is built or written, whatever the size.
+    out = tmp_path / "out.json"
+    code = main(["catalog", *map(str, argv), "--n", "3", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {options} asks for m = {m}, over the size budget of {MAX_SIZE}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("word", ["", "t1"], ids=["empty-word", "t1"])

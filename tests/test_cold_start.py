@@ -18,10 +18,12 @@ from pathlib import Path
 
 import pytest
 
+import qlefschetz
 from qlefschetz.catalog import xab
 from qlefschetz.serialize import dumps_canonical, fibration_to_obj
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The fresh interpreters load the package this process imported.
+SRC = Path(qlefschetz.__file__).resolve().parent.parent
 STDLIB_LEFT_OUT = {"dataclasses", "inspect", "fractions", "decimal"}
 COMMAND_MODULES = {"qlefschetz.catalog", "qlefschetz.moves", "qlefschetz.obstructions"}
 

@@ -63,7 +63,7 @@ def agrees(run, reference):
 
 @bounded
 @given(polys, polys, polys, polys, divisors, st.booleans())
-def test_cross_div_mul_and_exact_div_match_the_oracles(a, p, h, b, d, exact):
+def test_products_mul_and_exact_div_match_the_oracles(a, p, h, b, d, exact):
     if exact:
         a, b = schoolbook_product(a, d), schoolbook_product(b, d)
     cross = schoolbook_product(a, p) - schoolbook_product(h, b)
@@ -96,7 +96,7 @@ def test_monomial_factor_shifts_the_other_factor(c, other, j, left):
     agrees(lambda: a * p, lambda: schoolbook_product(a, p))
 
 
-def test_cross_div_edge_cases():
+def test_products_and_exact_div_edge_cases():
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
     assert _products([(zero, q), (zero, q)]).exact_div(q - 1) == zero
     assert _products([(q, q), (-q, q)]).exact_div(1 + q) == zero  # the products cancel

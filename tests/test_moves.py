@@ -8,9 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qlefschetz.laurent as laurent_module
-import qlefschetz.matrix as matrix_module
-import qlefschetz.moves as moves_module
 from qlefschetz.catalog import mirror_p2, xab
 from qlefschetz.laurent import LaurentPoly, q
 from qlefschetz.lefschetz import LefschetzAlgebra
@@ -27,7 +24,14 @@ from qlefschetz.moves import (
     shift_object,
 )
 
-from oracles import band_matrix, column_dot_matmul, moved_xab, rand_algebra, rand_kclass
+from oracles import (
+    band_matrix,
+    column_dot_matmul,
+    counted_products,
+    moved_xab,
+    rand_algebra,
+    rand_kclass,
+)
 
 
 def test_hurwitz_move_two_by_two():
@@ -244,16 +248,7 @@ def test_a_hurwitz_move_makes_linearly_many_kernel_calls(monkeypatch):
     """A move at m = 25 computes its two rows and columns, not two m x m products."""
     alg = moved_xab()
     m = alg.size
-    calls = []
-    kernel = laurent_module._products
-
-    def counting(pairs):
-        pairs = list(pairs)
-        calls.append(len(pairs))
-        return kernel(pairs)
-
-    for module in (laurent_module, matrix_module, moves_module):
-        monkeypatch.setattr(module, "_products", counting)
+    calls = counted_products(monkeypatch)
     moved, c = hurwitz_move(alg, m // 2)
     monkeypatch.undo()
     assert 0 < len(calls) <= 8 * m
