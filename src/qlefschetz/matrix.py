@@ -9,13 +9,17 @@ laurent._products, over its pairs of nonzero factors.
 (1 + 2q, q)
 
 Determinants, ranks and nullspaces are computed by fraction-free (Bareiss)
-elimination on Python integers (see _bareiss): each distinct row is shifted
-to valuation 0 and evaluated at q = 2^bits, bits a multiple of 8, so that
-packing and unpacking are int.to_bytes and int.from_bytes. Every entry the
-elimination keeps is a minor, and each kernel vector comes from
-back-substitution seeded with the last pivot (Cramer's rule), so every
-division is exact. The determinant and each kernel vector are read back as
-balanced base-2^bits digits. There are two precisions (see _precisions):
+elimination on Python integers (see _bareiss). One pass over the distinct
+entries prepares it (see _distinct_rows): it drops repeated rows, which add
+no equation (such as each bottom row of a double cover's [[B, B], [B, B]]),
+holds the exponent window to MAX_WINDOW, and finds each row's shift, its
+lowest exponent, and the two precisions. Each row is divided by q^shift and
+evaluated at q = 2^bits, bits a multiple of 8, so that packing and
+unpacking are int.to_bytes and int.from_bytes. Every entry the elimination
+keeps is a minor, and each kernel vector comes from back-substitution
+seeded with the last pivot (Cramer's rule), so every division is exact. The
+determinant and each kernel vector are read back as balanced base-2^bits
+digits. The two precisions are:
 
 - the proven one, from Hadamard's bound on every minor's coefficients, at
   which every zero test and every digit read back is exact;
@@ -30,12 +34,9 @@ balanced base-2^bits digits. There are two precisions (see _precisions):
   determinant cannot be checked that way, so it, and any failed check, is
   computed again at the proven precision.
 
-Only the distinct rows are eliminated: a repeated row, such as each bottom
-row of a double cover's [[B, B], [B, B]], adds no equation. Their exponent
-window is held to MAX_WINDOW. Nullspace vectors are returned as primitive
-K-theory classes: the gcd of the entries divided out (laurent_gcd, a
-primitive remainder sequence over Z) and the unit ambiguity (+-q^k) fixed
-canonically.
+Nullspace vectors are returned as primitive K-theory classes: the gcd of
+the entries divided out (laurent_gcd, a primitive remainder sequence over
+Z) and the unit ambiguity (+-q^k) fixed canonically.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 from .laurent import IntoPoly, LaurentPoly, _poly, _products, gcd_many
 
 EntryLike = Union[int, LaurentPoly]
+Lines = Sequence[Sequence[LaurentPoly]]
 
 #: det, rank and nullspace refuse a matrix whose distinct rows have an
 #: exponent window W (see _distinct_rows) over MAX_WINDOW: elimination works
@@ -60,7 +62,7 @@ MAX_WINDOW = 2**13
 MAX_SIZE = 512
 
 #: Elimination first runs at q = 2^_FAST_BITS when that is below the proven
-#: precision and holds every input coefficient; see _precisions.
+#: precision and holds every input coefficient; see _distinct_rows.
 _FAST_BITS = 32
 
 
@@ -340,23 +342,22 @@ class LaurentMatrix(FrozenRecord):
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rows = _distinct_rows(self)
+        rows, shifts, fast, proven, norm = _distinct_rows(self)
         if len(rows) < self.rows:
             return LaurentPoly.zero()
-        fast, proven, norm = _precisions(rows)
         if fast is not None:
-            _, kernel = _cramer_vectors(rows, self.cols, fast)
-            if kernel and _annihilates(rows, kernel, norm):
+            _, kernel = _cramer_vectors(rows, shifts, self.cols, fast)
+            if kernel and _annihilates(rows, shifts, kernel, norm):
                 return LaurentPoly.zero()
-        work, pivot_cols, sign = _bareiss(_packed(rows, proven))
+        work, pivot_cols, sign = _bareiss(_packed(rows, proven, shifts))
         if len(pivot_cols) < self.rows:
             return LaurentPoly.zero()
         last = work[-1][-1] if self.rows else 1
-        return _unpack(sign * last, proven, sum(_valuations(rows)))
+        return _unpack(sign * last, proven, sum(shifts))
 
     def rank(self) -> int:
         """Rank over the fraction field Q(q), eliminating the distinct rows only."""
-        return len(_kernel(_distinct_rows(self), self.cols)[0])
+        return len(_kernel(self)[0])
 
     def nullspace(self) -> list[KClass]:
         """
@@ -367,7 +368,7 @@ class LaurentMatrix(FrozenRecord):
         so the pivot columns and the kernel vector of each free column (the
         one vanishing at the other free columns) are those of all the rows.
         """
-        _, kernel = _kernel(_distinct_rows(self), self.cols)
+        _, kernel = _kernel(self)
         return [KClass(v).canonical_primitive() for v in kernel]
 
     def unitriangular_inverse(self) -> LaurentMatrix:
@@ -431,44 +432,17 @@ def pairing_matrix(gram: LaurentMatrix, classes: Sequence[KClass]) -> LaurentMat
     return r.star_transpose() @ gram @ r
 
 
-def _distinct_rows(matrix: LaurentMatrix) -> list[list[LaurentPoly]]:
+def _distinct_rows(matrix: LaurentMatrix) -> tuple[Lines, list[int], int | None, int, int]:
     """
-    The rows of matrix without repeats, each kept where it first occurs.
-    Refuses rows whose exponent window W, the lesser of the sums of their
-    row windows and of their column windows, exceeds MAX_WINDOW, naming the
-    widest row 1-based: W bounds the span of every minor.
-    """
-    rows: dict[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, list[LaurentPoly]]] = {}
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        rows.setdefault(tuple([(p._val, p._coeffs) for p in row]), (i, list(row)))
-    widths = [(_width(row), i) for i, row in rows.values()]
-    window = min(sum(w for w, _ in widths), sum(map(_width, zip(*(r for _, r in rows.values())))))
-    if window > MAX_WINDOW:
-        width, i = max(widths, key=lambda wi: (wi[0], -wi[1]))
-        raise ValueError(
-            f"exponent window {window} exceeds the elimination budget {MAX_WINDOW}: "
-            f"row {i + 1} alone spans {width}"
-        )
-    return [row for _, row in rows.values()]
-
-
-def _width(line: Iterable[LaurentPoly]) -> int:
-    """Highest degree minus lowest valuation over the nonzero entries; 0 if there are none."""
-    ends = [(p._val, p._val + len(p._coeffs) - 1) for p in line if p._coeffs]
-    return max(hi for _, hi in ends) - min(lo for lo, _ in ends) if ends else 0
-
-
-def _valuations(rows: Sequence[Sequence[LaurentPoly]]) -> list[int]:
-    """The lowest exponent of each row (0 for a zero row): the shift that packing removes."""
-    return [min((p._val for p in row if p._coeffs), default=0) for row in rows]
-
-
-def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int, int]:
-    """
-    The fast and proven precisions for eliminating rows at q = 2^bits, and
-    the largest row norm sum_j |B_ij|_1, which the check of a fast result
-    needs (see _annihilates): each entry's norm is computed once, here.
+    The rows of matrix without repeats, each kept where it first occurs, and
+    what eliminating them needs, read off one record per distinct entry p
+    (its lowest and highest exponent, |p|_1, its least and greatest
+    coefficient): each row's shift, its lowest exponent (0 for a zero row);
+    the fast and proven precisions; and the largest row norm sum_j |B_ij|_1,
+    which _annihilates needs. Refuses rows whose exponent window W, the
+    lesser of the sums of their row windows and of their column windows,
+    exceeds MAX_WINDOW, naming the widest row 1-based: W bounds the span of
+    every minor.
 
     The proven precision is the least multiple of 8 with every minor's
     coefficients below 2^(bits - 1) in absolute value. A coefficient of a
@@ -479,16 +453,41 @@ def _precisions(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int | None, int,
     bound is taken. The fast precision is _FAST_BITS, or None when it is not
     below the proven one or does not hold every input coefficient.
     """
-    norms = [[sum(map(abs, p._coeffs)) for p in row] for row in rows]
-    squares = [
-        math.prod(max(1, sum(n * n for n in line)) for line in lines)
-        for lines in (norms, list(zip(*norms)))
-    ]
-    proven = -(-((min(squares).bit_length() + 1) // 2 + 1) // 8) * 8
+    distinct: dict[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, list[LaurentPoly]]] = {}
+    for i in range(matrix.rows):
+        row = matrix.row(i)
+        distinct.setdefault(tuple([(p._val, p._coeffs) for p in row]), (i, list(row)))
+    records = {
+        (val, c): (val, val + len(c) - 1, sum(map(abs, c)), min(c), max(c))
+        for val, c in set().union(*distinct) if c
+    }
+    table = [[records.get(entry) for entry in key] for key in distinct]
+    by_row, by_col = [_line(r) for r in table], [_line(c) for c in zip(*table)]
+    widths = [w for _, w, _, _ in by_row]
+    window = min(sum(widths), sum(w for _, w, _, _ in by_col))
+    if window > MAX_WINDOW:
+        k = widths.index(max(widths))
+        raise ValueError(
+            f"exponent window {window} exceeds the elimination budget {MAX_WINDOW}: "
+            f"row {list(distinct.values())[k][0] + 1} alone spans {widths[k]}"
+        )
+    bound = min(math.prod(max(1, s) for *_, s in lines) for lines in (by_row, by_col))
+    proven = -(-((bound.bit_length() + 1) // 2 + 1) // 8) * 8
     half = 1 << (_FAST_BITS - 1)
-    fits = all(-half <= c < half for row in rows for p in row for c in p._coeffs)
+    fits = all(-half <= r[3] and r[4] < half for r in records.values())
     fast = _FAST_BITS if fits and _FAST_BITS < proven else None
-    return fast, proven, max(map(sum, norms), default=0)
+    norm = max((n for _, _, n, _ in by_row), default=0)
+    return [row for _, row in distinct.values()], [lo for lo, *_ in by_row], fast, proven, norm
+
+
+def _line(records: Iterable[tuple[int, int, int, int, int] | None]) -> tuple[int, int, int, int]:
+    """
+    The lowest exponent, window (highest exponent minus lowest), sum |p|_1
+    and sum |p|_1^2 of a row or column, from the records of its entries
+    (None for a zero entry); all 0 for a zero line.
+    """
+    lows, highs, norms, _, _ = zip(*(list(filter(None, records)) or [(0, 0, 0, 0, 0)]))
+    return min(lows), max(highs) - min(lows), sum(norms), sum(map(operator.mul, norms, norms))
 
 
 def _pack(coeffs: tuple[int, ...], bits: int) -> int:
@@ -522,11 +521,11 @@ def _bias(n: int, bits: int) -> int:
     return int.from_bytes((1 << (bits - 1)).to_bytes(bits >> 3, "little") * n, "little")
 
 
-def _packed(rows: Sequence[Sequence[LaurentPoly]], bits: int) -> list[list[int]]:
+def _packed(rows: Lines, bits: int, shifts: Sequence[int]) -> list[list[int]]:
     """
-    The rows at q = 2^bits, each shifted to valuation 0 first (see
-    _valuations). Each distinct coefficient tuple is packed once: packs maps
-    it to its value, which each entry then shifts by its own exponent.
+    The rows at q = 2^bits, each divided by q^shift first, shift at most its
+    lowest exponent. Each distinct coefficient tuple is packed once: packs
+    maps it to its value, which each entry then shifts by its own exponent.
     """
     packs: dict[tuple[int, ...], int] = {}
 
@@ -538,62 +537,61 @@ def _packed(rows: Sequence[Sequence[LaurentPoly]], bits: int) -> list[list[int]]
 
     return [
         [pack(p._coeffs) << (bits * (p._val - v)) if p._coeffs else 0 for p in row]
-        for row, v in zip(rows, _valuations(rows))
+        for row, v in zip(rows, shifts)
     ]
 
 
-def _kernel(
-    rows: Sequence[Sequence[LaurentPoly]], ncols: int
-) -> tuple[list[int], list[list[LaurentPoly]]]:
+def _kernel(matrix: LaurentMatrix) -> tuple[list[int], list[list[LaurentPoly]]]:
     """
-    The pivot columns of rows and the Cramer kernel vector of each free
-    column, over Z[q, q^-1]. A result at the fast precision stands when
-    every vector vanishes under every row exactly: evaluating q can only
-    lower the rank, so that proves the rank and the pivot columns too.
-    Otherwise the rows are eliminated again at the proven precision.
+    The pivot columns of the distinct rows of matrix and the Cramer kernel
+    vector of each free column, over Z[q, q^-1]. A result at the fast
+    precision stands when every vector vanishes under every row exactly:
+    evaluating q can only lower the rank, so that proves the rank and the
+    pivot columns too. Otherwise the rows are eliminated again at the
+    proven precision.
     """
-    fast, proven, norm = _precisions(rows)
+    rows, shifts, fast, proven, norm = _distinct_rows(matrix)
     if fast is not None:
-        pivot_cols, kernel = _cramer_vectors(rows, ncols, fast)
-        if _annihilates(rows, kernel, norm):
+        pivot_cols, kernel = _cramer_vectors(rows, shifts, matrix.cols, fast)
+        if _annihilates(rows, shifts, kernel, norm):
             return pivot_cols, kernel
-    return _cramer_vectors(rows, ncols, proven)
+    return _cramer_vectors(rows, shifts, matrix.cols, proven)
 
 
-def _annihilates(
-    rows: Sequence[Sequence[LaurentPoly]], kernel: list[list[LaurentPoly]], norm: int
-) -> bool:
+def _annihilates(rows: Lines, shifts: Sequence[int], kernel: Lines, norm: int) -> bool:
     """
     Whether row @ v == 0 exactly for every row and every vector v of kernel,
     decided on integers; an empty kernel is annihilated at once. Every
     coefficient of row_i @ v is at most C = N * V in absolute value, N =
-    norm, the largest row norm sum_j |B_ij|_1 (see _precisions), and V the
-    largest absolute coefficient of any vector. The rows and vectors are
-    packed at q = 2^bits, bits the least multiple of 8 that puts C, N and V
-    below 2^(bits - 1); there only the zero polynomial has value 0, so each
+    norm, the largest row norm sum_j |B_ij|_1 (see _distinct_rows), and V
+    the largest absolute coefficient of any vector. The rows, divided by
+    q^shift, and the vectors, which have no negative exponent, are packed at
+    q = 2^bits, bits the least multiple of 8 that puts C, N and V below
+    2^(bits - 1); there only the zero polynomial has value 0, so each
     integer dot product is zero exactly when its polynomial is.
     """
     if not kernel:
         return True
     top = max((max(map(abs, p._coeffs)) for v in kernel for p in v if p._coeffs), default=0)
     bits = -(-(max(norm * top, norm, top).bit_length() + 1) // 8) * 8
-    packed_rows = _packed(rows, bits)
+    packed_rows = _packed(rows, bits, shifts)
     return all(
-        not sum(map(operator.mul, row, v)) for v in _packed(kernel, bits) for row in packed_rows
+        not sum(map(operator.mul, row, v))
+        for v in _packed(kernel, bits, [0] * len(kernel)) for row in packed_rows
     )
 
 
 def _cramer_vectors(
-    rows: Sequence[Sequence[LaurentPoly]], ncols: int, bits: int
+    rows: Lines, shifts: Sequence[int], ncols: int, bits: int
 ) -> tuple[list[int], list[list[LaurentPoly]]]:
     """
-    The pivot columns of rows at q = 2^bits, and the kernel vector of each
-    free column, unpacked. The vector of free column f is zero at the other
-    free columns; it is seeded with the last pivot left of f, so by
-    Cramer's rule each of its entries is a minor and each back-substitution
-    step divides exactly.
+    The pivot columns of rows, divided by q^shift, at q = 2^bits, and the
+    kernel vector of each free column, unpacked at valuation 0. The vector
+    of free column f is zero at the other free columns; it is seeded with
+    the last pivot left of f, so by Cramer's rule each of its entries is a
+    minor and each back-substitution step divides exactly.
     """
-    work, pivot_cols, _ = _bareiss(_packed(rows, bits))
+    work, pivot_cols, _ = _bareiss(_packed(rows, bits, shifts))
     pivots = set(pivot_cols)
     kernel: list[list[LaurentPoly]] = []
     k = 0  # pivots left of the current column

@@ -116,8 +116,8 @@ MUTANTS = (
         "no-check-of-the-fast-precision",
         "matrix.py",
         "    return all(\n"
-        "        not sum(map(operator.mul, row, v))"
-        " for v in _packed(kernel, bits) for row in packed_rows\n"
+        "        not sum(map(operator.mul, row, v))\n"
+        "        for v in _packed(kernel, bits, [0] * len(kernel)) for row in packed_rows\n"
         "    )\n",
         "    return True\n",
         ("tests/test_banded_elimination.py::test_a_false_zero_pivot_falls_back",),
@@ -128,6 +128,37 @@ MUTANTS = (
         "    bits = -(-(max(norm * top, norm, top).bit_length() + 1) // 8) * 8\n",
         "    bits = -(-max(norm * top, norm, top).bit_length() // 8) * 8\n",
         ("tests/test_banded_elimination.py::test_the_check_precision_holds_the_bound",),
+    ),
+    Mutant(
+        "window-of-the-rows-alone",
+        "matrix.py",
+        "    window = min(sum(widths), sum(w for _, w, _, _ in by_col))\n",
+        "    window = sum(widths)\n",
+        ("tests/test_file_limits.py::test_the_window_is_the_lesser_of_rows_and_columns",),
+    ),
+    Mutant(
+        "window-of-the-columns-alone",
+        "matrix.py",
+        "    window = min(sum(widths), sum(w for _, w, _, _ in by_col))\n",
+        "    window = sum(w for _, w, _, _ in by_col)\n",
+        ("tests/test_file_limits.py::test_the_window_is_the_lesser_of_rows_and_columns",),
+    ),
+    Mutant(
+        "row-shift-from-the-first-nonzero-entry",
+        "matrix.py",
+        "    return min(lows), max(highs) - min(lows),",
+        "    return lows[0], max(highs) - min(lows),",
+        ("tests/test_banded_elimination.py::test_echelon_rows_equal_plain_bareiss",),
+    ),
+    Mutant(
+        "fast-fit-refusing-minus-2-to-the-31",
+        "matrix.py",
+        "    fits = all(-half <= r[3] and r[4] < half for r in records.values())\n",
+        "    fits = all(-half < r[3] and r[4] < half for r in records.values())\n",
+        (
+            "tests/test_banded_elimination.py"
+            "::test_an_input_coefficient_beyond_31_bits_stays_proven",
+        ),
     ),
     Mutant(
         "no-stale-pivot-refresh",
@@ -306,8 +337,8 @@ MUTANTS = (
     Mutant(
         "det-returning-its-star",
         "matrix.py",
-        "        return _unpack(sign * last, proven, sum(_valuations(rows)))\n",
-        "        return _unpack(sign * last, proven, sum(_valuations(rows))).star()\n",
+        "        return _unpack(sign * last, proven, sum(shifts))\n",
+        "        return _unpack(sign * last, proven, sum(shifts)).star()\n",
         ("tests/test_acceptance.py",),
     ),
     Mutant(

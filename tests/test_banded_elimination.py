@@ -47,9 +47,9 @@ from qlefschetz.matrix import (
     LaurentMatrix,
     _annihilates,
     _bareiss,
+    _distinct_rows,
     _pack,
     _packed,
-    _precisions,
     _unpack,
 )
 
@@ -122,9 +122,10 @@ def free_columns(b: LaurentMatrix) -> list[int]:
 @bounded
 @given(banded_matrices())
 def test_echelon_rows_equal_plain_bareiss(b):
-    rows = b.to_rows()
-    for bits in sorted({8, _FAST_BITS, _precisions(rows)[1]}):
-        packed = _packed(rows, bits)
+    rows = b.to_rows()  # repeated rows too, each with its own shift
+    shifts = [_distinct_rows(LaurentMatrix.from_rows([row]))[1][0] for row in rows]
+    for bits in sorted({8, _FAST_BITS, _distinct_rows(b)[3]}):
+        packed = _packed(rows, bits, shifts)
         assert packed == packed_at(rows, bits)
         work, pivot_cols, sign = _bareiss([list(r) for r in packed])
         expected, expected_cols, expected_sign = plain_integer_bareiss(packed)
@@ -187,8 +188,8 @@ def test_example_takes_both_stale_row_paths(monkeypatch):
     monkeypatch.setattr(matrix_module, "_current", recording)
     rows = [[1 + q, 1, 1, 1], [0, 2, 1, q], [2 + q, q, 1, 0], [0, 1, q, 1]]
     b = LaurentMatrix.from_rows(rows)
-    bits = _precisions(b.to_rows())[1]
-    packed = _packed(b.to_rows(), bits)
+    rows, shifts, _, bits, _ = _distinct_rows(b)
+    packed = _packed(rows, bits, shifts)
     assert packed[1][0] == packed[3][0] == 0
     work, pivot_cols, sign = _bareiss([list(r) for r in packed])
     assert (work, pivot_cols, sign) == plain_integer_bareiss(packed)
@@ -252,7 +253,7 @@ def test_a_false_zero_pivot_falls_back(monkeypatch):
     """
     b = LaurentMatrix.from_rows([[q, 2**16, q], [2**16, 1, 2**16]])
     square = LaurentMatrix.from_rows([row[:2] for row in b.to_rows()])
-    assert _precisions(b.to_rows())[0] == _FAST_BITS
+    assert _distinct_rows(b)[2] == _FAST_BITS
     calls = eliminations(monkeypatch)
     assert square.det() == q - 2**32
     assert square.rank() == 2 and square.nullspace() == []
@@ -268,13 +269,14 @@ def check_bits(monkeypatch, rows, kernel) -> tuple[bool, set[int]]:
     bits: set[int] = set()
     packed = matrix_module._packed
 
-    def recording(lines, b):
+    def recording(lines, b, shifts):
         bits.add(b)
-        return packed(lines, b)
+        return packed(lines, b, shifts)
 
     with monkeypatch.context() as patch:
         patch.setattr(matrix_module, "_packed", recording)
-        return _annihilates(rows, kernel, _precisions(rows)[2]), bits
+        rows, shifts, _, _, norm = _distinct_rows(LaurentMatrix.from_rows(rows))
+        return _annihilates(rows, shifts, kernel, norm), bits
 
 
 def polys(lines) -> list[list[LaurentPoly]]:
@@ -293,8 +295,8 @@ def test_the_check_refuses_a_product_that_vanishes_at_a_small_power(row, vector)
     """Each product is nonzero, but vanishes at q = 2^8 or at q = 2^16."""
     b, v = LaurentMatrix.from_rows([row]), KClass(vector)
     assert not (b @ v).is_zero()
-    rows = b.to_rows()
-    assert not _annihilates(rows, [list(v.coords)], _precisions(rows)[2])
+    rows, shifts, _, _, norm = _distinct_rows(b)
+    assert not _annihilates(rows, shifts, [list(v.coords)], norm)
 
 
 @pytest.mark.parametrize("b", [8, 16, 40])
@@ -360,13 +362,15 @@ def test_the_check_agrees_with_the_polynomial_product(data):
         rows.append(row)
     b = LaurentMatrix.from_rows(rows)
     expected = all((b @ KClass(v)).is_zero() for v in vectors)
-    assert _annihilates(rows, vectors, _precisions(rows)[2]) == expected
+    # The check takes vectors as _cramer_vectors gives them, with no negative exponent.
+    rows, shifts, _, _, norm = _distinct_rows(b)
+    assert _annihilates(rows, shifts, [[q**2 * x for x in v] for v in vectors], norm) == expected
 
 
 def test_an_entry_q_minus_2_to_the_32(monkeypatch):
     """The entry's coefficient -2^32 exceeds 32 bits: only the proven precision runs."""
     b = LaurentMatrix.from_rows([[q - 2**32, 1, 0], [1, 0, q], [q - 2**32, 1, 0]])
-    assert _precisions(b.to_rows())[0] is None
+    assert _distinct_rows(b)[2] is None
     calls = eliminations(monkeypatch)
     assert b.det() == 0 and calls == []  # a repeated row needs no elimination
     assert b.rank() == 2
@@ -377,12 +381,13 @@ def test_an_entry_q_minus_2_to_the_32(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeff, fast", [(2**31 - 1, _FAST_BITS), (2**31, None), (-(2**31) - 1, None)]
+    "coeff, fast",
+    [(2**31 - 1, _FAST_BITS), (2**31, None), (-(2**31), _FAST_BITS), (-(2**31) - 1, None)],
 )
 def test_an_input_coefficient_beyond_31_bits_stays_proven(monkeypatch, coeff, fast):
     rows = [[1 + q, coeff * q, 0], [1, 2, q], [q, 0, 1 - q]]
     b = LaurentMatrix.from_rows(rows)
-    assert _precisions(b.to_rows())[0] == fast
+    assert _distinct_rows(b)[2] == fast
     calls = eliminations(monkeypatch)
     assert_matches_oracles(b)
     # det: the fast pass finds the matrix nonsingular, which only the proven
@@ -399,7 +404,7 @@ def test_a_nonsingular_det_beyond_31_bits_is_proven(monkeypatch):
         for _ in range(12)
     ]
     b = LaurentMatrix.from_rows(rows)
-    fast, proven, _ = _precisions(rows)
+    _, _, fast, proven, _ = _distinct_rows(b)
     assert fast == _FAST_BITS < proven
     calls = eliminations(monkeypatch)
     det = b.det()
@@ -424,7 +429,7 @@ def test_the_fast_precision_keeps_a_wide_kernel_fast():
     bits, it takes about 3.5 s.
     """
     b = xab(29, 51, 4).intersection
-    assert _precisions(b.to_rows())[:2] == (_FAST_BITS, 320)
+    assert _distinct_rows(b)[2:4] == (_FAST_BITS, 320)
     start = time.perf_counter()
     assert b.nullspace() == [KClass([1] * 80)]
     assert time.perf_counter() - start < 1.5

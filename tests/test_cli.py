@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import stat
+import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlefschetz.cli as cli
 from qlefschetz.catalog import milnor_ar, mirror_p2, xab
@@ -1004,3 +1009,47 @@ def test_twist_refuses_letter_beyond_generators(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: twist generator 9 is not among 1..5 (numbered from 1)\n"
+
+
+# Typed integers: small ones, the size budget's edges, and extremes of any sign.
+typed = (
+    st.integers(-3, 12)
+    | st.sampled_from([2**31, 2**63, -(2**63), MAX_SIZE, MAX_SIZE + 1])
+    | st.integers(-(10**30), 10**30)
+)
+# Catalog sizes: small ones, and ones over the size budget (builds just under
+# it take seconds, and test_catalog_refuses_a_size_over_the_budget has them).
+sizes = st.integers(-3, 12) | st.integers(MAX_SIZE + 1, 10**30)
+
+
+@st.composite
+def integer_argvs(draw):
+    """Every subcommand that takes an integer option, each such option drawn; None is the file."""
+    command = draw(st.sampled_from(["move", "twist", "milnor", "xab", "mirror-p2"]))
+    if command == "move":
+        kind = draw(st.sampled_from(["hurwitz", "hurwitz-inverse", "rescale", "shift"]))
+        return ["move", None, kind, f"--k={draw(typed)}", f"--amount={draw(typed)}"]
+    if command == "twist":
+        return ["twist", None, "t1 t2^-1", f"--target-index={draw(typed)}"]
+    if command == "milnor":
+        return ["catalog", "milnor", f"--r={draw(sizes)}", f"--n={draw(typed)}"]
+    if command == "xab":
+        return ["catalog", "xab", f"--a={draw(sizes)}", f"--b={draw(sizes)}", f"--n={draw(typed)}"]
+    return ["catalog", "mirror-p2", f"--n={draw(typed)}"]
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    return write_xab(tmp_path_factory.mktemp("integers"))
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_argvs())
+def test_no_typed_integer_ends_in_a_traceback(small_file, argv):
+    """Each run, in-process, exits 0, 1 or 2 within seconds; no exception escapes main."""
+    argv = [str(small_file) if a is None else a for a in argv]
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert time.perf_counter() - start < 10, argv

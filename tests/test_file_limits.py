@@ -5,8 +5,9 @@ writer refuses exactly the entries the loader would refuse, with the
 loader's message for the loader's cell, and coefficients given as JSON
 integers are capped like numeral strings. A Seifert file that is not
 unitriangular names its first bad entry. Elimination holds its matrix to
-the window budget MAX_WINDOW, naming the widest row, and the monodromy of
-a hostile datum, which does not eliminate, stays fast.
+the window budget MAX_WINDOW, naming the widest row; the window is the
+lesser of the sums of the row windows and of the column windows. The
+monodromy of a hostile datum, which does not eliminate, stays fast.
 """
 
 from __future__ import annotations
@@ -273,6 +274,35 @@ def test_the_window_budget_holds_for_hostile_files(tmp_path, capsys, k, window):
             call()
     assert run(["verify", str(path)], capsys)[0] == 0
     assert run(["move", str(path), "hurwitz", "--k", "2"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "rows, refusal",
+    [
+        ([[1, q**6000], [2, q**6000]], None),  # rows span 12000, columns 0
+        ([[1, 2], [q**6000, q**6000]], None),  # the transpose
+        (
+            [[1, q**9000], [q**9500, q**9500]],  # rows 9000 + 0, columns 9500 + 500
+            "exponent window 9000 exceeds the elimination budget 8192: row 1 alone spans 9000",
+        ),
+    ],
+    ids=["wide-rows", "wide-columns", "both-over"],
+)
+def test_the_window_is_the_lesser_of_rows_and_columns(rows, refusal):
+    """
+    W is the lesser of the sums of the row windows and of the column windows:
+    either sum bounds the span of every minor, so a matrix wide in one
+    direction only eliminates, and a refusal names the lesser sum.
+    """
+    b = LaurentMatrix.from_rows(rows)
+    if refusal is None:
+        assert b.det() == -(q**6000)
+        assert b.rank() == 2 and b.nullspace() == []
+        return
+    for call in (b.det, b.rank, b.nullspace):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == refusal
 
 
 def test_monodromy_of_a_hostile_datum_stays_fast():
